@@ -59,7 +59,7 @@ func run() int {
 	var (
 		addr    = cc.String("addr", "DRISHTI_ADDR", ":8411", "HTTP listen address")
 		dir     = cc.String("store", "DRISHTI_STORE", "drishti.store", "result store / queue directory")
-		workers = cc.Int("workers", "", 0, "worker pool size (0 = GOMAXPROCS)")
+		workers = cc.Int("workers", "", 0, "job worker pool size; each running job batches up to three policies of a workload row at a time on one lane worker (0 = GOMAXPROCS)")
 		queue   = cc.Int("queue", "", 64, "queue capacity before 429 backpressure")
 		quota   = cc.Int("tenant-quota", "DRISHTI_TENANT_QUOTA", 0, "max queued+running jobs per tenant before 429 (0 = unlimited)")
 		timeout = flag.Duration("timeout", 0, "default per-job timeout (0 = none)")

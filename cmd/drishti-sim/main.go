@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -69,7 +70,6 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit the full result as JSON instead of the report")
 		mshrs    = flag.Bool("mshrs", false, "enforce strict Table 4 MSHR limits (8/16/64)")
 		inclus   = flag.Bool("inclusive", false, "inclusive LLC (back-invalidating; baseline is non-inclusive)")
-		batch    = cc.Bool("batch", "DRISHTI_BATCH", true, "with -metrics, run the mix and the per-core alone passes as one lockstep batch (bit-identical; false forces separate runs)")
 		laneWkrs = cc.Int("lane-workers", "DRISHTI_LANE_WORKERS", 0, "concurrent lanes inside a batched run; 0 = GOMAXPROCS (bit-identical at every setting)")
 		quiet    = flag.Bool("quiet", false, "suppress info-level run logs")
 
@@ -161,37 +161,20 @@ func main() {
 		"cores", *cores, "instr", *instr)
 
 	wantMetrics := *metricsF && !*jsonOut // -json elides the metrics block
-	var (
-		res   *sim.Result
-		alone []float64 // per-core alone IPCs, only under -metrics
-	)
-	if wantMetrics && *batch {
-		// One lockstep batch: the mix lane plus one alone lane per core
-		// share a single generation of the access streams. Lane results are
-		// bit-identical to the separate runs below.
-		variants := make([]sim.Variant, 1+*cores)
-		variants[0] = sim.Variant{Policy: cfg.Policy}
+	// One lockstep batch: the mix lane, plus one alone lane per core under
+	// -metrics, share a single generation of the access streams. Lane
+	// results are bit-identical to separate runs.
+	variants := []sim.Variant{{Policy: cfg.Policy}}
+	if wantMetrics {
 		for c := 0; c < *cores; c++ {
-			variants[1+c] = sim.Variant{Policy: cfg.Policy, Alone: true, AloneCore: c}
-		}
-		var results []*sim.Result
-		results, err = sim.RunBatch(cfg, variants, mix)
-		if err == nil {
-			res = results[0]
-			alone = make([]float64, *cores)
-			for c := 0; c < *cores; c++ {
-				alone[c] = results[1+c].PerCore[c].IPC
-			}
-		}
-	} else {
-		res, err = sim.RunMix(cfg, mix)
-		if err == nil && wantMetrics {
-			alone, err = sim.RunAlone(cfg, mix)
+			variants = append(variants, sim.Variant{Policy: cfg.Policy, Alone: true, AloneCore: c})
 		}
 	}
+	results, err := sim.RunBatchContext(context.Background(), cfg, variants, mix)
 	if err != nil {
 		fatal(err)
 	}
+	res := results[0]
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -203,6 +186,10 @@ func main() {
 	report(cfg, mix, res)
 
 	if wantMetrics {
+		alone := make([]float64, *cores) // per-core alone IPCs
+		for c := range alone {
+			alone[c] = results[1+c].PerCore[c].IPC
+		}
 		m, err := metrics.Compute(res.IPCs(), alone)
 		if err != nil {
 			fatal(err)

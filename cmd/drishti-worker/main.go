@@ -43,7 +43,7 @@ func run() int {
 		dir         = cc.String("store", "DRISHTI_STORE", "drishti.store", "content-addressed result store directory")
 		name        = flag.String("name", host, "worker name shown in fleet state")
 		concurrency = cc.Int("concurrency", "DRISHTI_CONCURRENCY", runtime.GOMAXPROCS(0), "cells simulated concurrently")
-		laneWkrs    = cc.Int("lane-workers", "DRISHTI_WORKER_LANES", 0, "concurrent lanes per batched lease group; 0 = the capacity slots the group holds (never oversubscribes -concurrency; bit-identical at every setting; DRISHTI_LANE_WORKERS applies only to unbatched sim defaults)")
+		laneWkrs    = cc.Int("lane-workers", "DRISHTI_WORKER_LANES", 0, "concurrent lanes per lease group; 0 = the capacity slots the group holds (never oversubscribes -concurrency; bit-identical at every setting)")
 		poll        = cc.Duration("poll", "DRISHTI_POLL", 0, "idle poll interval (0 = coordinator-suggested)")
 		quiet       = flag.Bool("quiet", false, "log warnings and errors only")
 		version     = flag.Bool("version", false, "print build information and exit")

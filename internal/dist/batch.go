@@ -4,265 +4,67 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sync"
-	"time"
 
+	"drishti/internal/engine"
 	"drishti/internal/obs/trace"
-	"drishti/internal/policies"
 	"drishti/internal/serve/api"
 	"drishti/internal/sim"
 	"drishti/internal/store"
-	"drishti/internal/workload"
 )
 
 // Lockstep batching in the fleet. Cells of one job that differ only in
 // replacement policy describe the same machine running the same mix, so
-// they can share one generation of the access streams (sim.RunBatchContext)
-// instead of regenerating the workload once per cell. The grouping is a
-// coordinator/worker-local optimization: the wire schema is untouched —
-// leases still carry one CellSpec each, completions still settle one lease
-// each — a batch is simply several leases that happen to be executed by one
-// simulation. Per-lane results are bit-identical to the per-cell path
-// (sim's golden determinism test pins this), so the store contents and
-// job results cannot tell the difference.
+// the coordinator packs them onto one grant and the worker resolves them
+// through the cell engine (internal/engine) as one batch group. The
+// grouping is node-local: the wire schema is untouched — leases still
+// carry one CellSpec each, completions still settle one lease each — a
+// batch is simply several leases that happen to be executed by one
+// simulation.
 
-// batchGroupKey is the grouping address for lockstep batching: the cell's
-// content address with the policy erased. Cells with equal group keys are
-// the same machine on the same mix and may share a batch. Never on the
-// wire; the coordinator computes it at decompose time and workers re-derive
-// it from the lease's CellSpec.
-func batchGroupKey(cfg sim.Config, mix workload.Mix) string {
-	cfg.Policy = policies.Spec{}
-	return api.CellKey(cfg, mix)
-}
-
-// cellPlan is one cell of a group, resolved from its wire spec.
-type cellPlan struct {
-	spec api.CellSpec
-	cfg  sim.Config
-	mix  workload.Mix
-}
-
-// planCell rebuilds and verifies one cell exactly like executeCell does,
-// without running it.
-func planCell(spec api.CellSpec) (cellPlan, error) {
+// planCell rebuilds one cell from its wire spec and verifies its content
+// address matches the coordinator's (loud failure on any schema drift).
+// parent is the span the cell's engine spans hang under.
+func planCell(spec api.CellSpec, parent trace.SpanContext) (engine.Cell, error) {
 	cfg, mix, err := spec.Request.Cell(spec.WorkloadIndex, spec.PolicyIndex)
 	if err != nil {
-		return cellPlan{}, err
+		return engine.Cell{}, err
 	}
 	if key := api.CellKey(cfg, mix); key != spec.Key {
-		return cellPlan{}, fmt.Errorf(
+		return engine.Cell{}, fmt.Errorf(
 			"dist: cell key mismatch (wire-schema drift?): coordinator sent %q, rebuilt %q", spec.Key, key)
 	}
-	return cellPlan{spec: spec, cfg: cfg, mix: mix}, nil
+	return engine.Cell{Key: spec.Key, Config: cfg, Mix: mix, Parent: parent}, nil
 }
 
-// phaseTimes accumulates the simulator's phase-timing callbacks for one
-// batch (sim.PhaseObserver). Lane -1 phases are shared across the batch;
-// non-negative lanes index the batch's variants. The mutex satisfies the
-// PhaseObserver concurrency contract: with sim.Config.LaneWorkers > 1,
-// "lane-run" timings arrive from concurrent lane goroutines.
-type phaseTimes struct {
-	mu     sync.Mutex
-	shared map[string]time.Duration
-	lane   map[int]time.Duration // accumulated "lane-run" per lane
-	grows  int                   // deadlock-breaker window growths ("window-grow")
-}
-
-func newPhaseTimes() *phaseTimes {
-	return &phaseTimes{shared: make(map[string]time.Duration), lane: make(map[int]time.Duration)}
-}
-
-func (p *phaseTimes) ObservePhase(phase string, lane int, d time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if lane < 0 {
-		if phase == "window-grow" {
-			p.grows++
-			return
-		}
-		p.shared[phase] += d
-		return
-	}
-	p.lane[lane] += d
-}
-
-// laneDur returns the accumulated "lane-run" time for one lane.
-func (p *phaseTimes) laneDur(lane int) (time.Duration, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	d, ok := p.lane[lane]
-	return d, ok
-}
-
-// stampShared copies the batch's shared phase timings (workload gen,
-// private-hierarchy replay, lockstep barriers, window growths) onto a
-// span as attributes.
-func (p *phaseTimes) stampShared(sp *trace.ActiveSpan) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, ph := range []string{"workload-gen", "private-replay", "barrier"} {
-		if d, ok := p.shared[ph]; ok {
-			sp.SetAttr("phase."+ph, d.Round(time.Microsecond).String())
-		}
-	}
-	if p.grows > 0 {
-		sp.SetAttr("phase.window-grows", fmt.Sprint(p.grows))
-	}
-}
-
-// parentAt indexes a possibly-nil parent slice (tracing off ⇒ nil).
-func parentAt(parents []trace.SpanContext, i int) trace.SpanContext {
-	if i < len(parents) {
-		return parents[i]
-	}
-	return trace.SpanContext{}
-}
-
-// executeCellGroup resolves a set of cells sharing one batch group with a
-// single lockstep simulation. Results and fromStore flags are aligned with
-// specs. Store hits are served per cell as usual; only the misses become
-// lanes of the batch. A non-nil error applies to the whole group — callers
-// fail or requeue every unresolved cell, exactly as if each had failed
-// alone (RunBatchContext reports the lowest-indexed failing lane, matching
-// the serial path's error ordering).
-//
-// parents carries one span context per spec (the cell's lease span, or the
-// job span on the coordinator's local fallback); with tracing off both
-// parents and tr are nil and the function emits nothing. The batch itself
-// gets a "batch-group" span carrying the shared phase timings, each lane a
-// "lane" span under its own cell's parent, and store traffic "store-hit" /
-// "store-write" spans.
-//
-// laneWorkers caps the batch's concurrent lane execution
-// (sim.Config.LaneWorkers); callers pass the capacity slots the group
-// already holds so batching never oversubscribes the node. 0 selects the
-// sim default (DRISHTI_LANE_WORKERS, then GOMAXPROCS). Purely a wall-clock
-// knob: lane results are bit-identical at every value.
-func executeCellGroup(ctx context.Context, st *store.Store, log *slog.Logger, specs []api.CellSpec, parents []trace.SpanContext, tr *trace.Tracer, laneWorkers int) ([]*sim.Result, []bool, error) {
-	results := make([]*sim.Result, len(specs))
-	fromStore := make([]bool, len(specs))
-
-	var (
-		group string
-		base  cellPlan
-		lanes []int // specs index per batch lane
-		vars  []sim.Variant
-	)
+// runGroup resolves one batch group of wire specs through the cell
+// engine, each cell's spans under its own parent. A spec that fails to
+// plan fails the whole group.
+func runGroup(ctx context.Context, st *store.Store, log *slog.Logger, tr *trace.Tracer, specs []api.CellSpec, parents []trace.SpanContext, laneWorkers int) ([]*sim.Result, []bool, error) {
+	cells := make([]engine.Cell, len(specs))
 	for i, spec := range specs {
-		pl, err := planCell(spec)
+		c, err := planCell(spec, parents[i])
 		if err != nil {
 			return nil, nil, err
 		}
-		gk := batchGroupKey(pl.cfg, pl.mix)
-		if i == 0 {
-			group, base = gk, pl
-		} else if gk != group {
-			return nil, nil, fmt.Errorf("dist: cell %d is not in batch group of cell %d", spec.Index, base.spec.Index)
-		}
-		var cached sim.Result
-		hit, err := st.Get(spec.Key, &cached)
-		if err != nil {
-			return nil, nil, err
-		}
-		if hit {
-			hs := tr.Start(parentAt(parents, i), "store-hit")
-			hs.SetAttr("key", spec.Key)
-			hs.End()
-			results[i] = &cached
-			fromStore[i] = true
-			continue
-		}
-		lanes = append(lanes, i)
-		vars = append(vars, sim.Variant{Policy: pl.cfg.Policy})
+		cells[i] = c
 	}
-
-	switch len(lanes) {
-	case 0:
-		return results, fromStore, nil
-	case 1:
-		// A single miss gains nothing from the batch machinery; run it on
-		// the plain path (bit-identical by the batch invariant).
-		i := lanes[0]
-		res, hit, err := executeCell(ctx, st, log, specs[i], parentAt(parents, i), tr)
-		if err != nil {
-			return nil, nil, err
-		}
-		results[i], fromStore[i] = res, hit
-		return results, fromStore, nil
-	}
-
-	base.cfg.LaneWorkers = laneWorkers // observational only; excluded from Config.Key
-	var pt *phaseTimes
-	gspan := tr.Start(parentAt(parents, lanes[0]), "batch-group")
-	if gspan != nil {
-		gspan.SetAttr("lanes", fmt.Sprint(len(lanes)))
-		gspan.SetAttr("cells", fmt.Sprint(len(specs)))
-		gspan.SetAttr("lane-workers", fmt.Sprint(laneWorkers))
-		pt = newPhaseTimes()
-		base.cfg.Phases = pt // observational only; excluded from Config.Key
-	}
-	// One "lane" span per batch lane, parented to that cell's own lease
-	// span so each lease's subtree stays self-contained even though the K
-	// lanes share one simulation.
-	lspans := make([]*trace.ActiveSpan, len(lanes))
-	for k, i := range lanes {
-		ls := tr.Start(parentAt(parents, i), "lane")
-		ls.SetAttr("lane", fmt.Sprint(k))
-		ls.SetAttr("policy", vars[k].Policy.DisplayName())
-		lspans[k] = ls
-	}
-	batch, err := sim.RunBatchContext(ctx, base.cfg, vars, base.mix)
-	if err != nil {
-		for _, ls := range lspans {
-			ls.SetAttr("error", err.Error())
-			ls.End()
-		}
-		if gspan != nil {
-			gspan.SetAttr("error", err.Error())
-			gspan.End()
-		}
-		return nil, nil, err
-	}
-	for k, i := range lanes {
-		results[i] = batch[k]
-		ls := lspans[k]
-		if pt != nil {
-			if d, ok := pt.laneDur(k); ok {
-				ls.SetAttr("phase.lane-run", d.Round(time.Microsecond).String())
-			}
-		}
-		ls.End()
-		ws := tr.Start(ls.Context(), "store-write")
-		ws.SetAttr("key", specs[i].Key)
-		if err := st.Put(specs[i].Key, batch[k]); err != nil {
-			// The result is good; only durability failed. Log and serve it.
-			log.Warn("store put failed", "err", err)
-			ws.SetAttr("error", err.Error())
-		}
-		ws.End()
-	}
-	if gspan != nil {
-		pt.stampShared(gspan)
-		gspan.End()
-	}
-	return results, fromStore, nil
+	return engine.Run(ctx, st, log, tr, cells, laneWorkers)
 }
 
 // groupLeases partitions granted leases into batch groups, preserving the
 // grant order within and across groups. A lease whose spec fails to
-// resolve becomes a singleton group — the per-cell path will surface the
-// error through the normal complete-with-error flow.
+// resolve becomes a singleton group, whose planning error then surfaces
+// through the normal complete-with-error flow.
 func groupLeases(leases []api.Lease) [][]api.Lease {
 	var (
 		order  []string
 		groups = make(map[string][]api.Lease)
 	)
 	for _, l := range leases {
-		pl, err := planCell(l.Cell)
+		c, err := planCell(l.Cell, trace.SpanContext{})
 		gk := "!" + l.ID // unresolvable: never groups with anything
 		if err == nil {
-			gk = batchGroupKey(pl.cfg, pl.mix)
+			gk = engine.GroupKey(c.Config, c.Mix)
 		}
 		if _, ok := groups[gk]; !ok {
 			order = append(order, gk)

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"drishti/internal/engine"
 	"drishti/internal/obs"
 	"drishti/internal/obs/trace"
 	"drishti/internal/ring"
@@ -166,7 +167,7 @@ type cellState struct {
 	policy   string // DisplayName, for the CellResult and error messages
 	workload string
 	mixName  string
-	groupKey string // lockstep batch group (batchGroupKey); never on the wire
+	groupKey string // lockstep batch group (engine.GroupKey); never on the wire
 
 	attempts  int       // lease grants + local adoptions
 	notBefore time.Time // backoff gate for redispatch
@@ -426,7 +427,7 @@ func (c *Coordinator) decompose(jobID string, req api.JobRequest, sink func(int,
 				policy:   cfg.Policy.DisplayName(),
 				workload: req.WorkloadName(wi),
 				mixName:  mix.Name,
-				groupKey: batchGroupKey(cfg, mix),
+				groupKey: engine.GroupKey(cfg, mix),
 			}
 			var cached sim.Result
 			hit, err := c.st.Get(key, &cached)
@@ -717,27 +718,21 @@ func (c *Coordinator) runLocal(ctx context.Context, job *fleetJob) {
 			group = append(group, next)
 		}
 		specs := make([]api.CellSpec, len(group))
+		parents := make([]trace.SpanContext, len(group))
 		for i, g := range group {
 			g.attempts++
-			specs[i] = g.spec
+			// Locally-adopted cells have no lease span; their lanes hang
+			// directly off the job span.
+			specs[i], parents[i] = g.spec, job.trace
 		}
 		c.mu.Unlock()
 
 		c.log.Info("running cells locally (no live workers)", "job", job.id,
 			"cell", cl.spec.Index, "group", len(group))
-		// Locally-adopted cells have no lease span; their lanes hang
-		// directly off the job span.
-		var parents []trace.SpanContext
-		if job.trace.Valid() {
-			parents = make([]trace.SpanContext, len(specs))
-			for i := range parents {
-				parents[i] = job.trace
-			}
-		}
 		// The fallback runs groups one at a time, so a group may spend one
 		// lane worker per adopted cell, like a worker whose whole capacity
 		// the group occupies.
-		results, fromStore, err := executeCellGroup(ctx, c.st, c.log, specs, parents, c.opts.Trace.Tracer(), len(specs))
+		results, fromStore, err := runGroup(ctx, c.st, c.log, c.opts.Trace.Tracer(), specs, parents, len(specs))
 		if err != nil {
 			if ctx.Err() != nil {
 				return // job context cancelled; RunJob's select settles it

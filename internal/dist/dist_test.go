@@ -59,9 +59,24 @@ func newFleet(t *testing.T, copts dist.CoordinatorOptions) *fleet {
 }
 
 // startWorker runs an in-process dist.Worker against the fleet until the
-// returned cancel is called (or the test ends).
+// returned cancel is called (or the test ends). It returns once
+// GET /v1/fleet lists the worker, so the coordinator can lease to it — a
+// test asserting on fleet behaviour must not race the registration.
 func startWorker(t *testing.T, f *fleet, opts dist.WorkerOptions) context.CancelFunc {
 	t.Helper()
+	if opts.Name == "" {
+		opts.Name = "worker"
+	}
+	registered := func() int {
+		n := 0
+		for _, w := range fleetStatus(t, f).Workers {
+			if w.Name == opts.Name {
+				n++
+			}
+		}
+		return n
+	}
+	before := registered()
 	opts.Coordinator = f.srv.URL
 	if opts.StoreDir == "" {
 		opts.StoreDir = f.dir
@@ -83,6 +98,12 @@ func startWorker(t *testing.T, f *fleet, opts dist.WorkerOptions) context.Cancel
 	done := make(chan struct{})
 	go func() { defer close(done); w.Run(ctx) }()
 	t.Cleanup(func() { cancel(); <-done })
+	for deadline := time.Now().Add(30 * time.Second); registered() <= before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker %q never registered", opts.Name)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	return cancel
 }
 
@@ -266,12 +287,6 @@ func TestE2EFleetByteIdenticalWithWorkerKill(t *testing.T) {
 		Capacity: 1,
 		Client:   &http.Client{Timeout: 30 * time.Second, Transport: blockCompletes{http.DefaultTransport}},
 	})
-	for deadline := time.Now().Add(30 * time.Second); len(fleetStatus(t, f).Workers) == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("victim never registered")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 
 	id := submitJob(t, f, req)
 	killed := false
@@ -372,12 +387,6 @@ func TestFleetBatchedLeaseGroup(t *testing.T) {
 	})
 	wreg := obs.NewRegistry()
 	startWorker(t, f, dist.WorkerOptions{Name: "batcher", Capacity: 8, Registry: wreg})
-	for deadline := time.Now().Add(30 * time.Second); len(fleetStatus(t, f).Workers) == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never registered")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 
 	id := submitJob(t, f, req)
 	waitDone(t, f, id, time.Minute)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"drishti/internal/engine"
 	"drishti/internal/obs/trace"
 	"drishti/internal/serve/api"
 	"drishti/internal/sim"
@@ -172,7 +173,7 @@ func (c *Coordinator) adoptRemoteCells(req api.ForwardCellsRequest) (int, error)
 			policy:   cfg.Policy.DisplayName(),
 			workload: spec.Request.WorkloadName(spec.WorkloadIndex),
 			mixName:  mix.Name,
-			groupKey: batchGroupKey(cfg, mix),
+			groupKey: engine.GroupKey(cfg, mix),
 		}
 		var cached sim.Result
 		hit, err := c.st.Get(spec.Key, &cached)

@@ -3,6 +3,8 @@ package dist_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -17,11 +19,19 @@ import (
 	"drishti/internal/workload"
 )
 
+// Fixed coordinator names: ring membership, and with it the ownership
+// split of forwardSweep's cells, must not depend on the listeners' random
+// ports. The peers' HTTP client resolves the names to the listeners.
+const (
+	coordA = "coord-0.test"
+	coordB = "coord-1.test"
+)
+
 // newPeeredFleets builds a two-coordinator fleet over one sharded store:
-// two unstarted HTTP servers (so each coordinator knows its peer's URL
-// before construction), two stateless coordinator+service pairs, each
-// holding its own store handle over the same shard directories — exactly
-// two `drishti-served -fleet -peers=...` processes on a shared filesystem.
+// two unstarted HTTP servers (so each coordinator knows its peer before
+// construction), two stateless coordinator+service pairs, each holding its
+// own store handle over the same shard directories — exactly two
+// `drishti-served -fleet -peers=...` processes on a shared filesystem.
 func newPeeredFleets(t *testing.T, workersB bool) (*fleet, *fleet) {
 	t.Helper()
 	root := t.TempDir()
@@ -29,8 +39,21 @@ func newPeeredFleets(t *testing.T, workersB bool) (*fleet, *fleet) {
 
 	sA := httptest.NewUnstartedServer(http.NotFoundHandler())
 	sB := httptest.NewUnstartedServer(http.NotFoundHandler())
-	urlA := "http://" + sA.Listener.Addr().String()
-	urlB := "http://" + sB.Listener.Addr().String()
+	listeners := map[string]string{
+		coordA + ":80": sA.Listener.Addr().String(),
+		coordB + ":80": sB.Listener.Addr().String(),
+	}
+	peerTransport := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		real, ok := listeners[addr]
+		if !ok {
+			return nil, fmt.Errorf("unknown coordinator %s", addr)
+		}
+		var d net.Dialer
+		return d.DialContext(ctx, network, real)
+	}}
+	t.Cleanup(peerTransport.CloseIdleConnections)
+	peerClient := &http.Client{Timeout: 30 * time.Second, Transport: peerTransport}
+	urlA, urlB := "http://"+coordA, "http://"+coordB
 
 	build := func(self, peer string, srv *httptest.Server) *fleet {
 		st, err := store.OpenSharded(dirs, 0) // write-through: peers see results immediately
@@ -46,6 +69,7 @@ func newPeeredFleets(t *testing.T, workersB bool) (*fleet, *fleet) {
 			WorkerTTL:    5 * time.Second,
 			PollInterval: 10 * time.Millisecond,
 			Registry:     reg,
+			Client:       peerClient,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -80,8 +104,8 @@ func newPeeredFleets(t *testing.T, workersB bool) (*fleet, *fleet) {
 	return fA, fB
 }
 
-// forwardSweep is large enough (8 cells) that the deterministic cell-key
-// ring reliably splits ownership across two coordinators.
+// forwardSweep has 8 cells; on the ring of coordA and coordB, A owns 3
+// and B owns 5, so an origin with a live peer always forwards.
 func forwardSweep(t *testing.T) api.JobRequest {
 	t.Helper()
 	name := workload.AllSPECGAP()[0].Name

@@ -25,12 +25,6 @@ func TestE2EFleetTraceTree(t *testing.T) {
 	})
 	startWorker(t, f, dist.WorkerOptions{Name: "tracer-a", Capacity: 2, Registry: obs.NewRegistry()})
 	startWorker(t, f, dist.WorkerOptions{Name: "tracer-b", Capacity: 2, Registry: obs.NewRegistry()})
-	for deadline := time.Now().Add(30 * time.Second); len(fleetStatus(t, f).Workers) < 2; {
-		if time.Now().After(deadline) {
-			t.Fatal("workers never registered")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 
 	req := api.JobRequest{
 		Cores:        2,
@@ -155,4 +149,58 @@ func hasSpan(spans []trace.Span, name string) bool {
 		}
 	}
 	return false
+}
+
+// TestFleetSingleLeaseRunsAsGroup: a lone lease takes the same group path
+// as a batched one — a lease-group span holding one lease, and a
+// one-lane batch-group whose lane hangs under the lease span.
+func TestFleetSingleLeaseRunsAsGroup(t *testing.T) {
+	rec := trace.NewRecorder("served", nil)
+	f := newFleet(t, dist.CoordinatorOptions{
+		PollInterval: 10 * time.Millisecond,
+		SweepEvery:   50 * time.Millisecond,
+		Trace:        rec,
+	})
+	wreg := obs.NewRegistry()
+	startWorker(t, f, dist.WorkerOptions{Name: "single", Capacity: 1, Registry: wreg})
+
+	req := api.JobRequest{
+		Cores:        2,
+		Scale:        8,
+		Instructions: 8_000,
+		Warmup:       2_000,
+		Policies:     []api.PolicyRequest{{Name: "srrip"}},
+		Workloads:    []string{workload.AllSPECGAP()[0].Name},
+	}
+	id := submitJob(t, f, req)
+	waitDone(t, f, id, time.Minute)
+	if v := wreg.Counter("worker_cells_executed").Value(); v != 1 {
+		t.Fatalf("worker_cells_executed = %d, want 1", v)
+	}
+
+	var tv api.TraceView
+	for deadline := time.Now().Add(10 * time.Second); !hasSpan(tv.Spans, "job"); {
+		if time.Now().After(deadline) {
+			t.Fatal("root job span never appeared")
+		}
+		time.Sleep(5 * time.Millisecond)
+		getJSON(t, f.srv.URL+"/v1/jobs/"+id+"/trace", &tv)
+	}
+	byName := make(map[string][]trace.Span)
+	for _, sp := range tv.Spans {
+		byName[sp.Name] = append(byName[sp.Name], sp)
+	}
+	if n := len(byName["lease"]); n != 1 {
+		t.Fatalf("got %d lease spans, want 1", n)
+	}
+	lease := byName["lease"][0]
+	if g := byName["lease-group"]; len(g) != 1 || g[0].Attrs["leases"] != "1" || g[0].ParentID != lease.SpanID {
+		t.Errorf("lease-group spans %+v, want one holding 1 lease under the lease span", g)
+	}
+	if g := byName["batch-group"]; len(g) != 1 || g[0].Attrs["lanes"] != "1" {
+		t.Errorf("batch-group spans %+v, want one with 1 lane", g)
+	}
+	if l := byName["lane"]; len(l) != 1 || l[0].ParentID != lease.SpanID {
+		t.Errorf("lane spans %+v, want one under the lease span", l)
+	}
 }

@@ -1,85 +1,89 @@
 package experiments
 
 import (
-	"sync"
+	"context"
+	"encoding/json"
 	"testing"
 
+	"drishti/internal/metrics"
 	"drishti/internal/policies"
+	"drishti/internal/sim"
 )
 
 // TestSweepBatchedMatchesUnbatched is the sweep-level bit-identity guard
-// for lockstep batching: the batched grouper (alone + baseline + policy
-// lanes over one shared stream per mix) must produce exactly the
-// per-cell path's numbers. The two sweeps run CONCURRENTLY on purpose —
-// under -race this doubles as the shared-state check for the batch
-// grouper racing a plain sweep through the same memo caches.
+// for lockstep batching: the batched sweep (alone + baseline + policy
+// lanes over one shared stream per mix) must produce exactly the numbers
+// of unbatched serial simulations — sim.RunAloneNContext for the alone
+// IPCs, sim.RunMixContext for the LRU baseline and every policy cell.
 func TestSweepBatchedMatchesUnbatched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep determinism test is not -short")
 	}
 	cfg, mixes, specs := sweepFixture()
+	ctx := context.Background()
 
 	ResetCache()
-	var (
-		wg                   sync.WaitGroup
-		batched, unbatched   *sweepResult
-		batchErr, unbatchErr error
-	)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		batched, batchErr = runSweep(cfg, mixes, specs, Params{Parallelism: 2, Batch: BatchAuto})
-	}()
-	go func() {
-		defer wg.Done()
-		unbatched, unbatchErr = runSweep(cfg, mixes, specs, Params{Parallelism: 2, Batch: BatchOff})
-	}()
-	wg.Wait()
+	batched, err := runSweep(cfg, mixes, specs, Params{Parallelism: 2})
 	ResetCache()
-	if batchErr != nil {
-		t.Fatalf("batched sweep: %v", batchErr)
-	}
-	if unbatchErr != nil {
-		t.Fatalf("unbatched sweep: %v", unbatchErr)
+	if err != nil {
+		t.Fatalf("batched sweep: %v", err)
 	}
 
-	for si := range specs {
-		for mi := range mixes {
-			if b, u := batched.normWS[si][mi], unbatched.normWS[si][mi]; b != u {
-				t.Errorf("normWS[%d][%d]: batched %v != unbatched %v", si, mi, b, u)
+	for mi, mix := range mixes {
+		base := cfg
+		base.Policy = policies.Spec{Name: "lru"}
+		alone, err := sim.RunAloneNContext(ctx, base, mix, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseRes, err := sim.RunMixContext(ctx, base, mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseM, err := metrics.Compute(baseRes.IPCs(), alone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := batched.evals[mi]
+		if ev.baseWS != baseM.WS {
+			t.Errorf("baseWS[%d]: batched %v != serial %v", mi, ev.baseWS, baseM.WS)
+		}
+		for c := range alone {
+			if ev.alone[c] != alone[c] {
+				t.Errorf("alone[%d][%d]: batched %v != serial %v", mi, c, ev.alone[c], alone[c])
 			}
-			bres, ures := batched.outcomes[si][mi].res, unbatched.outcomes[si][mi].res
-			if bres.MPKI != ures.MPKI {
-				t.Errorf("MPKI[%d][%d]: batched %v != unbatched %v", si, mi, bres.MPKI, ures.MPKI)
+		}
+		if got, want := resultJSON(t, ev.baseRes), resultJSON(t, baseRes); got != want {
+			t.Errorf("baseline result[%d] differs from serial run", mi)
+		}
+		for si, spec := range specs {
+			c := cfg
+			c.Policy = spec
+			res, err := sim.RunMixContext(ctx, c, mix)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if bres.WPKI != ures.WPKI {
-				t.Errorf("WPKI[%d][%d]: batched %v != unbatched %v", si, mi, bres.WPKI, ures.WPKI)
+			m, err := metrics.Compute(res.IPCs(), alone)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if bres.Energy.Total != ures.Energy.Total {
-				t.Errorf("energy[%d][%d]: batched %v != unbatched %v", si, mi,
-					bres.Energy.Total, ures.Energy.Total)
+			if b, s := batched.normWS[si][mi], m.WS/baseM.WS; b != s {
+				t.Errorf("normWS[%d][%d]: batched %v != serial %v", si, mi, b, s)
+			}
+			if got, want := resultJSON(t, batched.outcomes[si][mi].res), resultJSON(t, res); got != want {
+				t.Errorf("result[%d][%d] (%s): batched differs from serial run", si, mi, spec.DisplayName())
 			}
 		}
 	}
-	for mi := range mixes {
-		bev, uev := batched.evals[mi], unbatched.evals[mi]
-		if bev == nil || uev == nil {
-			t.Fatalf("eval[%d] missing: batched %v unbatched %v", mi, bev, uev)
-		}
-		if bev.baseWS != uev.baseWS {
-			t.Errorf("baseWS[%d]: batched %v != unbatched %v", mi, bev.baseWS, uev.baseWS)
-		}
-		for c := range bev.alone {
-			if bev.alone[c] != uev.alone[c] {
-				t.Errorf("alone[%d][%d]: batched %v != unbatched %v", mi, c, bev.alone[c], uev.alone[c])
-			}
-		}
+}
+
+func resultJSON(t *testing.T, r *sim.Result) string {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for si := range specs {
-		if batched.geoNormWS(si) != unbatched.geoNormWS(si) {
-			t.Errorf("geoNormWS(%d) differs", si)
-		}
-	}
+	return string(b)
 }
 
 // TestSweepBatchedLaneWorkersMatchesSerial turns BOTH concurrency knobs
@@ -95,12 +99,12 @@ func TestSweepBatchedLaneWorkersMatchesSerial(t *testing.T) {
 	cfg, mixes, specs := sweepFixture()
 
 	ResetCache()
-	serial, err := runSweep(cfg, mixes, specs, Params{Parallelism: 1, LaneWorkers: 1, Batch: BatchAuto})
+	serial, err := runSweep(cfg, mixes, specs, Params{Parallelism: 1, LaneWorkers: 1})
 	if err != nil {
 		t.Fatalf("serial batched sweep: %v", err)
 	}
 	ResetCache()
-	par, err := runSweep(cfg, mixes, specs, Params{Parallelism: 2, LaneWorkers: 2, Batch: BatchAuto})
+	par, err := runSweep(cfg, mixes, specs, Params{Parallelism: 2, LaneWorkers: 2})
 	if err != nil {
 		t.Fatalf("parallel batched sweep: %v", err)
 	}
@@ -150,7 +154,7 @@ func TestSweepBatchedDedupsBaseline(t *testing.T) {
 	specs := []policies.Spec{{Name: "lru"}, {Name: "srrip"}}
 
 	ResetCache()
-	sr, err := runSweep(cfg, mixes, specs, Params{Parallelism: 1, Batch: BatchAuto})
+	sr, err := runSweep(cfg, mixes, specs, Params{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

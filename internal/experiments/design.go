@@ -8,6 +8,7 @@ import (
 	"drishti/internal/fabric"
 	"drishti/internal/noc"
 	"drishti/internal/policies"
+	"drishti/internal/sim"
 	"drishti/internal/stats"
 )
 
@@ -20,27 +21,26 @@ func Fig10PredictorAPKI(p Params, w io.Writer) error {
 		cfg := p.config(cores)
 		mixes := p.paperMixes(cfg, cores)
 		var centMax, centAvg, pcgMax, pcgAvg []float64
+		// Both placements of a mix run as one two-lane lockstep batch.
+		var variants []sim.Variant
+		for _, place := range []fabric.Placement{fabric.Centralized, fabric.PerCoreGlobal} {
+			variants = append(variants, sim.Variant{Policy: policies.Spec{
+				Name:             "mockingjay",
+				Placement:        policies.PlacementPtr(place),
+				FixedPredLatency: 1, // isolate traffic from timing effects
+			}})
+		}
 		for _, mix := range mixes {
-			for _, place := range []fabric.Placement{fabric.Centralized, fabric.PerCoreGlobal} {
-				c := cfg
-				c.Policy = policies.Spec{
-					Name:             "mockingjay",
-					Placement:        policies.PlacementPtr(place),
-					FixedPredLatency: 1, // isolate traffic from timing effects
-				}
-				res, err := runMixCached(p.ctx(), c, mix)
-				if err != nil {
-					return err
-				}
-				maxB, avgB := bankAPKI(res.BankAPKI)
-				if place == fabric.Centralized {
-					centMax = append(centMax, maxB)
-					centAvg = append(centAvg, avgB)
-				} else {
-					pcgMax = append(pcgMax, maxB)
-					pcgAvg = append(pcgAvg, avgB)
-				}
+			res, err := sim.RunBatchContext(p.ctx(), cfg, variants, mix)
+			if err != nil {
+				return err
 			}
+			maxB, avgB := bankAPKI(res[0].BankAPKI)
+			centMax = append(centMax, maxB)
+			centAvg = append(centAvg, avgB)
+			maxB, avgB = bankAPKI(res[1].BankAPKI)
+			pcgMax = append(pcgMax, maxB)
+			pcgAvg = append(pcgAvg, avgB)
 		}
 		fmt.Fprintf(w, "%2d cores  centralized: avg=%.2f max=%.2f APKI   per-core-global: avg=%.2f max=%.2f APKI\n",
 			cores, stats.Mean(centAvg), maxOf(centMax), stats.Mean(pcgAvg), maxOf(pcgMax))

@@ -6,6 +6,7 @@ import (
 
 	"drishti/internal/fabric"
 	"drishti/internal/policies"
+	"drishti/internal/sim"
 )
 
 // Tab02DesignSpace quantifies Table 2: the four ways to give reuse
@@ -35,17 +36,21 @@ func Tab02DesignSpace(p Params, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%-44s %-8s %-10s %-11s %-11s %-9s %-12s\n",
 		"design", "global?", "lookups", "trainings", "broadcasts", "remote", "hottest-bank")
-	for _, row := range rows {
-		c := cfg
-		c.Policy = policies.Spec{
+	// Every design runs as one lane of a single lockstep batch.
+	variants := make([]sim.Variant, len(rows))
+	for i, row := range rows {
+		variants[i] = sim.Variant{Policy: policies.Spec{
 			Name:             "mockingjay",
 			Placement:        policies.PlacementPtr(row.place),
 			FixedPredLatency: 1, // isolate traffic from timing
-		}
-		res, err := runMixCached(p.ctx(), c, mix)
-		if err != nil {
-			return err
-		}
+		}}
+	}
+	results, err := sim.RunBatchContext(p.ctx(), cfg, variants, mix)
+	if err != nil {
+		return err
+	}
+	for i, row := range rows {
+		res := results[i]
 		var g string
 		if row.place.GlobalView() {
 			g = "yes"

@@ -19,21 +19,20 @@ import (
 func pow(x, y float64) float64 { return math.Pow(x, y) }
 
 // Cross-experiment memoization: several figures reuse the same runs
-// (fig13/fig14/tab05 share sweeps; fig10's traffic runs repeat per mix).
-// Keys are the explicit sim.Config / workload.Mix / policies.Spec key
-// builders, so results are exact. The caches are singleflight: concurrent
-// sweep workers asking for the same run block on one execution instead of
-// duplicating it or serializing unrelated runs. Capacities bound resident
-// results so `drishti-bench all` at large -mixes cannot grow without
-// limit; LRU eviction keeps the runs the current experiment is reusing.
+// (fig13/fig14/tab05 share sweeps, and every sweep of a mix shares its
+// LRU baseline and alone calibration). Keys are the explicit sim.Config /
+// workload.Mix / policies.Spec key builders, so results are exact. The
+// caches are singleflight: concurrent sweep workers asking for the same
+// run block on one execution instead of duplicating it or serializing
+// unrelated runs. Capacities bound resident results so `drishti-bench
+// all` at large -mixes cannot grow without limit; LRU eviction keeps the
+// runs the current experiment is reusing.
 const (
-	mixCacheCap   = 1024
 	evalCacheCap  = 512
 	sweepCacheCap = 64
 )
 
 var (
-	mixCache   = memo.New[*sim.Result](mixCacheCap)
 	evalCache  = memo.New[*mixEval](evalCacheCap)
 	sweepCache = memo.New[*sweepResult](sweepCacheCap)
 )
@@ -41,7 +40,6 @@ var (
 // ResetCache clears the cross-experiment memo (tests use it to isolate
 // runs and bound memory; the cmd binary never needs to).
 func ResetCache() {
-	mixCache.Reset()
 	evalCache.Reset()
 	sweepCache.Reset()
 }
@@ -49,26 +47,6 @@ func ResetCache() {
 // cfgKey identifies one (machine, mix) simulation.
 func cfgKey(cfg sim.Config, mix workload.Mix) string {
 	return cfg.Key() + "|" + mix.Key()
-}
-
-// runMixCached is sim.RunMix with cross-experiment memoization. ctx cancels
-// the computation if this caller owns it; waiters sharing the singleflight
-// see the owner's outcome (a cancellation error is never cached, so the
-// next request retries).
-func runMixCached(ctx context.Context, cfg sim.Config, mix workload.Mix) (*sim.Result, error) {
-	return mixCache.Do(cfgKey(cfg, mix), func() (*sim.Result, error) {
-		return sim.RunMixContext(ctx, cfg, mix)
-	})
-}
-
-// evalMixCached is evalMix with memoization. alonePar bounds the
-// fan-out of the per-core alone runs inside the eval.
-func evalMixCached(ctx context.Context, cfg sim.Config, mix workload.Mix, alonePar int) (*mixEval, error) {
-	base := cfg
-	base.Policy = policies.Spec{Name: "lru"}
-	return evalCache.Do(cfgKey(base, mix), func() (*mixEval, error) {
-		return evalMix(ctx, cfg, mix, alonePar)
-	})
 }
 
 func sweepKey(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec) string {
@@ -106,58 +84,11 @@ type mixEval struct {
 	baseRes *sim.Result
 }
 
-// evalMix measures the LRU baseline and alone IPCs for a mix, running up
-// to alonePar of the per-core alone systems concurrently.
-func evalMix(ctx context.Context, cfg sim.Config, mix workload.Mix, alonePar int) (*mixEval, error) {
-	base := cfg
-	base.Policy = policies.Spec{Name: "lru"}
-	if base.TelemetryEpoch > 0 && base.TelemetrySink != nil {
-		base.TelemetrySink = obs.TagEpochs(base.TelemetrySink, 0, obs.RunID(base.Key(), mix.Key()))
-	}
-	alone, err := sim.RunAloneNContext(ctx, base, mix, alonePar)
-	if err != nil {
-		return nil, fmt.Errorf("alone runs for %s: %w", mix.Name, err)
-	}
-	for i, a := range alone {
-		if a <= 0 {
-			return nil, fmt.Errorf("mix %s core %d: zero alone IPC", mix.Name, i)
-		}
-	}
-	res, err := sim.RunMixContext(ctx, base, mix)
-	if err != nil {
-		return nil, fmt.Errorf("baseline run for %s: %w", mix.Name, err)
-	}
-	m, err := metrics.Compute(res.IPCs(), alone)
-	if err != nil {
-		return nil, err
-	}
-	return &mixEval{mix: mix, alone: alone, baseWS: m.WS, baseRes: res}, nil
-}
-
 // policyOutcome is one policy's result on one mix, normalized to LRU.
 type policyOutcome struct {
 	res    *sim.Result
 	multi  metrics.Multi
 	normWS float64 // WS(policy) / WS(lru) — the paper's headline metric
-}
-
-// runPolicy evaluates spec on the mix against the cached baseline.
-func (e *mixEval) runPolicy(ctx context.Context, cfg sim.Config, spec policies.Spec) (*policyOutcome, error) {
-	cfg.Policy = spec
-	if cfg.TelemetryEpoch > 0 && cfg.TelemetrySink != nil {
-		// Stamp the cell's run ID onto its epochs (lane 0: not a batch
-		// lane), so a shared sink attributes every stream to its cell.
-		cfg.TelemetrySink = obs.TagEpochs(cfg.TelemetrySink, 0, obs.RunID(cfg.Key(), e.mix.Key()))
-	}
-	res, err := sim.RunMixContext(ctx, cfg, e.mix)
-	if err != nil {
-		return nil, fmt.Errorf("%s on %s: %w", spec.DisplayName(), e.mix.Name, err)
-	}
-	m, err := metrics.Compute(res.IPCs(), e.alone)
-	if err != nil {
-		return nil, err
-	}
-	return &policyOutcome{res: res, multi: m, normWS: m.WS / e.baseWS}, nil
 }
 
 // sweep runs a set of policy specs over a set of mixes, returning
@@ -171,18 +102,16 @@ type sweepResult struct {
 	outcomes [][]*policyOutcome
 }
 
-// runSweep evaluates every (mix, policy) cell on a bounded worker pool of
-// par goroutines; par <= 1 is the strictly serial path. Each cell is an
-// independent deterministic simulation, so results are bit-identical for
-// every parallelism. The per-mix LRU baseline a cell depends on is
-// resolved through evalCache's singleflight: the first worker to reach a
-// mix computes it, concurrent cells of the same mix block on that one
-// execution, and cells of other mixes proceed.
-//
-// On failure the sweep stops dispatching new cells and returns the error
-// of the cell with the lowest serial position — cells are dispatched in
-// serial order, so every cell preceding the winner has already run, which
-// makes the returned error exactly the serial path's.
+// runSweep executes the sweep mix by mix, folding each mix's cells into
+// one lockstep batch (runBatchedMix): the per-core alone calibration lanes
+// and the LRU baseline lane (both skipped when the mix's eval is already
+// cached) ride with the policy lanes over a single shared generation of
+// the access streams, so workload generation is paid once per mix instead
+// of once per run. A bounded worker pool dispatches whole mixes; results
+// are bit-identical at every parallelism. On failure the sweep stops
+// dispatching and returns the lowest-mix error — mixes are dispatched in
+// order, so every mix before the winner has already run, which makes the
+// error the serial sweep's.
 func runSweep(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Params) (*sweepResult, error) {
 	sr := &sweepResult{
 		specs:    specs,
@@ -195,11 +124,8 @@ func runSweep(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Par
 		sr.normWS[i] = make([]float64, len(mixes))
 		sr.outcomes[i] = make([]*policyOutcome, len(mixes))
 	}
-	par := p.Parallel()
 	log := p.logger()
-	ctx := p.ctx()
-	nCells := len(mixes) * len(specs)
-	p.Progress.AddTotal(nCells)
+	p.Progress.AddTotal(len(mixes) * len(specs))
 	cellDone := func(mix workload.Mix, spec policies.Spec, out *policyOutcome) {
 		p.Progress.Done(1)
 		c := cfg
@@ -209,111 +135,8 @@ func runSweep(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Par
 			"mix", mix.Name, "policy", spec.DisplayName(),
 			"normWS", out.normWS, "mpki", out.res.MPKI)
 	}
-	if par > nCells {
-		par = nCells
-	}
-	if p.Batch != BatchOff {
-		return runSweepBatched(sr, cfg, mixes, specs, p, cellDone)
-	}
-	if par <= 1 {
-		for mi, mix := range mixes {
-			ev, err := evalMixCached(ctx, cfg, mix, 1)
-			if err != nil {
-				return nil, err
-			}
-			sr.evals[mi] = ev
-			for si, spec := range specs {
-				out, err := ev.runPolicy(ctx, cfg, spec)
-				if err != nil {
-					return nil, err
-				}
-				sr.normWS[si][mi] = out.normWS
-				sr.outcomes[si][mi] = out
-				cellDone(mix, spec, out)
-			}
-		}
-		return sr, nil
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		errSeq   = nCells
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, par)
-	)
-	record := func(seq int, err error) {
-		mu.Lock()
-		if seq < errSeq {
-			errSeq, firstErr = seq, err
-		}
-		mu.Unlock()
-	}
-	for seq := 0; seq < nCells; seq++ {
-		if err := ctx.Err(); err != nil {
-			// Cancelled: stop dispatching. Workers already in flight
-			// observe the same context and abort on their own.
-			record(seq, err)
-			break
-		}
-		mu.Lock()
-		failed := firstErr != nil
-		mu.Unlock()
-		if failed {
-			break
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(seq int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			mi, si := seq/len(specs), seq%len(specs)
-			// alonePar=1: the cell pool already owns the parallelism
-			// budget; nesting another fan-out would oversubscribe it.
-			ev, err := evalMixCached(ctx, cfg, mixes[mi], 1)
-			if err != nil {
-				// Serially the eval runs before any of the mix's cells.
-				record(mi*len(specs), err)
-				return
-			}
-			mu.Lock()
-			if sr.evals[mi] == nil {
-				sr.evals[mi] = ev
-			}
-			mu.Unlock()
-			out, err := ev.runPolicy(ctx, cfg, specs[si])
-			if err != nil {
-				record(seq, err)
-				return
-			}
-			sr.normWS[si][mi] = out.normWS // cell-private slots: no lock
-			sr.outcomes[si][mi] = out
-			cellDone(mixes[mi], specs[si], out)
-		}(seq)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return sr, nil
-}
-
-// runSweepBatched executes the sweep mix by mix, folding each mix's cells
-// into one lockstep batch (sim.RunBatchContext): the per-core alone
-// calibration lanes and the LRU baseline lane (both skipped when the
-// mix's eval is already cached) ride with the policy lanes over a single
-// shared generation of the access streams, so workload generation is paid
-// once per mix instead of once per run. Lane results are bit-identical to
-// the per-cell path, so the sweepResult is too; only the work grouping
-// changes. The worker pool dispatches whole mixes. On failure the
-// lowest-mix error is returned — a batch fails as a unit, so the serial
-// path's per-cell error attribution within a mix is not recoverable.
-func runSweepBatched(sr *sweepResult, cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Params, cellDone func(workload.Mix, policies.Spec, *policyOutcome)) (*sweepResult, error) {
 	ctx := p.ctx()
-	par := p.Parallel()
-	if par > len(mixes) {
-		par = len(mixes)
-	}
+	par := min(p.Parallel(), max(len(mixes), 1))
 	// Compose the two parallelism levels so concurrent mixes × lane
 	// workers stays within the Parallel() budget: by default the surplus
 	// budget left after the mix pool flows to each batch's lanes; an
@@ -338,20 +161,12 @@ func runSweepBatched(sr *sweepResult, cfg sim.Config, mixes []workload.Mix, spec
 		}
 		sr.evals[mi] = ev
 		for si, out := range outs {
-			// Cell-private slots: no lock needed, as in the per-cell pool.
+			// Mix-private slots: no lock needed.
 			sr.normWS[si][mi] = out.normWS
 			sr.outcomes[si][mi] = out
 			cellDone(mixes[mi], specs[si], out)
 		}
 		return nil
-	}
-	if par <= 1 {
-		for mi := range mixes {
-			if err := runOne(mi); err != nil {
-				return nil, err
-			}
-		}
-		return sr, nil
 	}
 	var (
 		mu       sync.Mutex
@@ -368,17 +183,20 @@ func runSweepBatched(sr *sweepResult, cfg sim.Config, mixes []workload.Mix, spec
 		mu.Unlock()
 	}
 	for mi := 0; mi < len(mixes); mi++ {
+		// Take the slot before checking for failure, so a mix failing
+		// while this one waits stops dispatch (with par 1, exactly where
+		// a serial loop would stop).
+		sem <- struct{}{}
 		if err := ctx.Err(); err != nil {
 			record(mi, err)
-			break
 		}
 		mu.Lock()
 		failed := firstErr != nil
 		mu.Unlock()
 		if failed {
+			<-sem
 			break
 		}
-		sem <- struct{}{}
 		wg.Add(1)
 		go func(mi int) {
 			defer wg.Done()
@@ -397,10 +215,10 @@ func runSweepBatched(sr *sweepResult, cfg sim.Config, mixes []workload.Mix, spec
 
 // runBatchedMix runs one mix's lanes — per-core alone calibration and the
 // LRU baseline when the eval is not already cached, plus one lane per
-// policy spec — as a single lockstep batch, and assembles the same
-// mixEval/policyOutcome values the per-cell path produces. When LRU is
-// itself one of the swept specs its lane doubles as the baseline, so the
-// baseline simulation the serial path repeats is deduplicated away.
+// policy spec — as a single lockstep batch, and assembles the
+// mixEval/policyOutcome values that serial runs of each cell would give.
+// When LRU is itself one of the swept specs its lane doubles as the
+// baseline, so the baseline simulation is not repeated.
 func runBatchedMix(ctx context.Context, cfg sim.Config, mix workload.Mix, specs []policies.Spec) (*mixEval, []*policyOutcome, error) {
 	lru := policies.Spec{Name: "lru"}
 	base := cfg
@@ -459,9 +277,9 @@ func runBatchedMix(ctx context.Context, cfg sim.Config, mix workload.Mix, specs 
 			return nil, nil, err
 		}
 		fresh := &mixEval{mix: mix, alone: alone, baseWS: m.WS, baseRes: baseRes}
-		// Publish through the cache's singleflight so concurrent unbatched
-		// sweeps share one eval; whichever side wins the race, the values
-		// are bit-identical.
+		// Publish through the cache's singleflight so concurrent batches
+		// of the same mix share one eval; whichever side wins the race,
+		// the values are bit-identical.
 		ev, err = evalCache.Do(evKey, func() (*mixEval, error) { return fresh, nil })
 		if err != nil {
 			return nil, nil, err

@@ -293,15 +293,9 @@ func Tab01SampledSetCases(p Params, w io.Writer) error {
 	}
 	topPer, botPer, mixPer := rankSets(profSys.Slices(), n)
 
-	ev, err := evalMix(p.ctx(), cfg, mix, p.Parallel())
-	if err != nil {
-		return err
-	}
-	baseSpec := policies.Spec{Name: "mockingjay", SampledSets: n}
-	baseOut, err := ev.runPolicy(p.ctx(), cfg, baseSpec)
-	if err != nil {
-		return err
-	}
+	// The random baseline and the three cases ride one lockstep batch
+	// with the mix's LRU baseline and alone calibration lanes.
+	specs := []policies.Spec{{Name: "mockingjay", SampledSets: n}}
 	cases := []struct {
 		label string
 		per   [][]int
@@ -310,14 +304,19 @@ func Tab01SampledSetCases(p Params, w io.Writer) error {
 		{"II  (bottom MPKA)", botPer},
 		{"III (half/half)", mixPer},
 	}
-	fmt.Fprintf(w, "random baseline (n=%d/slice): normWS=%.4f\n", n, baseOut.normWS)
 	for _, cse := range cases {
-		out, err := ev.runPolicy(p.ctx(), cfg, policies.Spec{Name: "mockingjay", FixedPerSlice: cse.per})
-		if err != nil {
-			return err
-		}
+		specs = append(specs, policies.Spec{Name: "mockingjay", FixedPerSlice: cse.per})
+	}
+	_, outs, err := runBatchedMix(p.ctx(), cfg, mix, specs)
+	if err != nil {
+		return err
+	}
+	random := outs[0].normWS
+	fmt.Fprintf(w, "random baseline (n=%d/slice): normWS=%.4f\n", n, random)
+	for i, cse := range cases {
+		v := outs[i+1].normWS
 		fmt.Fprintf(w, "case %-18s normWS=%.4f  speedup over random=%+.2f%%\n",
-			cse.label, out.normWS, (out.normWS/baseOut.normWS-1)*100)
+			cse.label, v, (v/random-1)*100)
 	}
 	fmt.Fprintln(w, "paper shape: I > III > II (16.4 / 9.5 / 8.3% over Mockingjay-random)")
 	return nil

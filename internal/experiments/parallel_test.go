@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"testing"
 
 	"drishti/internal/policies"
@@ -196,20 +194,20 @@ func TestParallelParam(t *testing.T) {
 // TestCachesBounded: the memo caches advertise finite capacities and
 // ResetCache empties them.
 func TestCachesBounded(t *testing.T) {
-	if mixCache.Cap() <= 0 || evalCache.Cap() <= 0 || sweepCache.Cap() <= 0 {
+	if evalCache.Cap() <= 0 || sweepCache.Cap() <= 0 {
 		t.Fatal("cross-experiment caches must be bounded")
 	}
 	p := tinyParams()
 	cfg := p.config(2)
 	mixes := p.paperMixes(cfg, 2)[:1]
-	if _, err := runMixCached(context.Background(), cfg, mixes[0]); err != nil {
+	if _, err := runSweepCached(cfg, mixes, []policies.Spec{{Name: "srrip"}}, Params{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if mixCache.Len() == 0 {
-		t.Fatal("run not cached")
+	if evalCache.Len() == 0 || sweepCache.Len() == 0 {
+		t.Fatal("sweep or its eval not cached")
 	}
 	ResetCache()
-	if mixCache.Len() != 0 || evalCache.Len() != 0 || sweepCache.Len() != 0 {
+	if evalCache.Len() != 0 || sweepCache.Len() != 0 {
 		t.Fatal("ResetCache left entries behind")
 	}
 }

@@ -44,8 +44,12 @@ func TestTenantQuota429(t *testing.T) {
 // the observed mean duration over the worker pool, clamped to [1, 60],
 // falling back to 5 with no history.
 func TestDerivedRetryAfter(t *testing.T) {
-	s, _, _ := testService(t, Options{Workers: 2, QueueCap: 4})
+	// No live workers: they would pop the fake queued jobs below and race
+	// the depth the estimate reads. The estimate divides by the configured
+	// pool size, set after construction.
+	s, _, _ := testService(t, Options{Workers: -1, QueueCap: 4})
 	defer s.Shutdown(shortCtx(t))
+	s.opts.Workers = 2
 
 	if got := s.retryAfterSec(); got != 5 {
 		t.Fatalf("retryAfterSec with no history = %d, want fallback 5", got)

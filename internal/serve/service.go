@@ -19,12 +19,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"drishti/internal/engine"
 	"drishti/internal/obs"
 	"drishti/internal/obs/trace"
 	"drishti/internal/serve/api"
-	"drishti/internal/sim"
 	"drishti/internal/store"
-	"drishti/internal/workload"
 )
 
 // Distributor executes a job's sweep cells somewhere other than this
@@ -59,9 +58,11 @@ type Options struct {
 	// quotas. The empty tenant counts as its own tenant.
 	TenantQuota int
 
-	// Workers is the scheduler pool size (default GOMAXPROCS). A negative
-	// value starts no workers at all: jobs queue but never execute, which
-	// tests use to exercise queue persistence deterministically.
+	// Workers is the scheduler pool size (default GOMAXPROCS). Each job
+	// holds one slot and runs its lockstep batches on one lane worker, so
+	// Workers bounds the simulation goroutines. A negative value starts
+	// no workers at all: jobs queue but never execute, which tests use to
+	// exercise queue persistence deterministically.
 	Workers int
 
 	// QueueCap bounds the FIFO; submissions beyond it get HTTP 429
@@ -509,11 +510,23 @@ func (s *Service) execute(j *Job) {
 		"attempts", attempts, "elapsed", elapsed.Round(time.Millisecond), "err", err)
 }
 
-// runJob executes the request's workload × policy grid serially within the
-// job (the worker pool provides cross-job parallelism), front-loading every
-// cell with a store lookup. Identical cells computed by any earlier process
-// are served from disk without touching the simulator. In fleet mode the
-// configured Distributor gets the job first; it declines with
+// maxJobLanes bounds the lanes of one job's lockstep batch. A job holds
+// one of the Workers scheduler slots but keeps one simulated System live
+// per lane, so a whole row of K policies would keep K per slot. Three
+// lanes still share each generation of the access streams across up to
+// three policies while a running job keeps at most three Systems live:
+// on the 4-core, 5-policy rows of the benchmark's service workload, whole
+// rows raised peak RSS about 25% over per-cell runs and batches of three
+// about 12% (EXPERIMENTS.md §1.11).
+const maxJobLanes = 3
+
+// runJob executes the request's workload × policy grid within the job
+// (the worker pool provides cross-job parallelism). Each workload row
+// goes through the cell engine in batches of up to maxJobLanes policies:
+// every cell is looked up in the store, and the misses run as the lanes
+// of one lockstep simulation over a shared generation of the row's access
+// streams. Cells are recorded and streamed in index order. In fleet mode
+// the configured Distributor gets the job first; it declines with
 // api.ErrNoWorkers when the fleet is empty and the local path below runs
 // exactly as on a single node.
 func (s *Service) runJob(ctx context.Context, j *Job) (*JobResult, error) {
@@ -535,50 +548,50 @@ func (s *Service) runJob(ctx context.Context, j *Job) (*JobResult, error) {
 		return nil, err
 	}
 	out := &JobResult{}
-	tracer := s.opts.Trace.Tracer()
 	parent := trace.FromContext(ctx)
 	for wi := 0; wi < nw; wi++ {
-		for pi := 0; pi < np; pi++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		cells := make([]engine.Cell, np)
+		for pi := range cells {
 			cfg, mix, err := req.Cell(wi, pi)
 			if err != nil {
 				return nil, err
 			}
-			sp := tracer.Start(parent, "cell")
-			sp.SetAttr("policy", cfg.Policy.DisplayName())
-			sp.SetAttr("mix", mix.Name)
-			res, fromStore, err := s.runCell(ctx, cfg, mix)
+			cells[pi] = engine.Cell{Key: api.CellKey(cfg, mix), Config: cfg, Mix: mix, Parent: parent}
+		}
+		for lo := 0; lo < np; lo += maxJobLanes {
+			// A job holds one of the Workers scheduler slots, so its
+			// batches run one lane worker: the pool, not the batch, owns
+			// the CPUs.
+			results, fromStore, err := engine.Run(ctx, s.st, s.log, s.opts.Trace.Tracer(), cells[lo:min(lo+maxJobLanes, np)], 1)
 			if err != nil {
-				sp.SetAttr("error", err.Error())
-				sp.End()
-				return nil, fmt.Errorf("%s on %s: %w", cfg.Policy.DisplayName(), mix.Name, err)
+				return nil, fmt.Errorf("%s: %w", cells[0].Mix.Name, err)
 			}
-			sp.SetAttr("fromStore", strconv.FormatBool(fromStore))
-			sp.End()
-			if fromStore {
-				out.StoreHits++
-			} else {
-				out.StoreMisses++
+			for k, res := range results {
+				pi := lo + k
+				c := cells[pi]
+				if fromStore[k] {
+					out.StoreHits++
+				} else {
+					out.StoreMisses++
+				}
+				cell := CellResult{
+					Policy:    c.Config.Policy.DisplayName(),
+					Workload:  req.WorkloadName(wi),
+					Mix:       c.Mix.Name,
+					FromStore: fromStore[k],
+					IPCSum:    res.IPCSum(),
+					MPKI:      res.MPKI,
+					WPKI:      res.WPKI,
+					APKI:      res.APKI,
+					Result:    res,
+				}
+				out.Cells = append(out.Cells, cell)
+				sink(wi*np+pi, cell)
+				s.log.Info("cell done", "job", j.ID,
+					"run", obs.RunID(c.Config.Key(), c.Mix.Key()),
+					"policy", cell.Policy, "mix", cell.Mix,
+					"fromStore", cell.FromStore, "mpki", res.MPKI)
 			}
-			cell := CellResult{
-				Policy:    cfg.Policy.DisplayName(),
-				Workload:  req.WorkloadName(wi),
-				Mix:       mix.Name,
-				FromStore: fromStore,
-				IPCSum:    res.IPCSum(),
-				MPKI:      res.MPKI,
-				WPKI:      res.WPKI,
-				APKI:      res.APKI,
-				Result:    res,
-			}
-			out.Cells = append(out.Cells, cell)
-			sink(wi*np+pi, cell)
-			s.log.Info("cell done", "job", j.ID,
-				"run", obs.RunID(cfg.Key(), mix.Key()),
-				"policy", cfg.Policy.DisplayName(), "mix", mix.Name,
-				"fromStore", fromStore, "mpki", res.MPKI)
 		}
 	}
 	return out, nil
@@ -602,28 +615,6 @@ func (s *Service) Trace(id string) (api.TraceView, bool) {
 		spans = []trace.Span{}
 	}
 	return api.TraceView{TraceID: traceID, Spans: spans}, true
-}
-
-// runCell serves one simulation from the store or computes and stores it.
-func (s *Service) runCell(ctx context.Context, cfg sim.Config, mix workload.Mix) (*sim.Result, bool, error) {
-	key := api.CellKey(cfg, mix)
-	var cached sim.Result
-	hit, err := s.st.Get(key, &cached)
-	if err != nil {
-		return nil, false, err
-	}
-	if hit {
-		return &cached, true, nil
-	}
-	res, err := sim.RunMixContext(ctx, cfg, mix)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := s.st.Put(key, res); err != nil {
-		// The result is good; only durability failed. Log and serve it.
-		s.log.Warn("store put failed", "err", err)
-	}
-	return res, false, nil
 }
 
 // Shutdown gracefully stops the service: new submissions are rejected,

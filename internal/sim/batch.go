@@ -60,9 +60,12 @@ const batchQuantum = 8192
 
 // batchWindow is the per-core record skew allowed between the fastest and
 // slowest lane before the fast lane pauses (grown on demand if a rotation
-// ever makes no progress; see runLockstep). A variable so tests can
-// shrink it to exercise the deadlock-breaker growth path.
-var batchWindow uint64 = 8192
+// ever makes no progress; see runLockstep). It is one stream chunk: the
+// barrier materializes a full window per core before the first rotation,
+// so a wider window front-loads generation that short runs never read.
+// A variable so tests can shrink it to exercise the deadlock-breaker
+// growth path.
+var batchWindow uint64 = streamChunkLen
 
 // batchMemBudget bounds the estimated resident shared-window bytes; above
 // it RunBatchContext falls back to per-lane generator forks (no shared
@@ -142,7 +145,8 @@ type Variant struct {
 // variants. Each lane's result is bit-identical to running its
 // configuration alone through RunMixContext (or runAloneCore for alone
 // lanes). On failure the error of the lowest-indexed failing lane is
-// returned and the whole batch aborts.
+// returned and the whole batch aborts. A batch of one mix lane runs the
+// plain runner, so every caller may route single cells through here.
 func RunBatchContext(ctx context.Context, base Config, variants []Variant, mix workload.Mix) ([]*Result, error) {
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("sim: batch with no variants")
@@ -181,6 +185,9 @@ func RunBatchContext(ctx context.Context, base Config, variants []Variant, mix w
 	}
 	if err := mix.Validate(); err != nil {
 		return nil, err
+	}
+	if len(variants) == 1 && !variants[0].Alone {
+		return runSingleLane(ctx, cfgs[0], variants[0], mix)
 	}
 
 	// Per-lane telemetry buffers decouple concurrently-running lanes from
@@ -264,6 +271,25 @@ func RunBatchContext(ctx context.Context, base Config, variants []Variant, mix w
 		out[i] = res
 	}
 	return out, nil
+}
+
+// runSingleLane runs a batch of one mix lane on the plain runner: with
+// nothing to share there is no window, barrier or lane pool to pay for.
+// The lane's wall time is still reported as "lane-run" so observers see
+// every batch the same way.
+func runSingleLane(ctx context.Context, cfg Config, v Variant, mix workload.Mix) ([]*Result, error) {
+	var t0 time.Time
+	if cfg.Phases != nil {
+		t0 = time.Now()
+	}
+	res, err := RunMixContext(ctx, cfg, mix)
+	if cfg.Phases != nil {
+		cfg.Phases.ObservePhase("lane-run", 0, time.Since(t0))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sim: batch lane 0 (%s): %w", v.Policy.DisplayName(), err)
+	}
+	return []*Result{res}, nil
 }
 
 // tier2Eligible reports whether the private hierarchy can be simulated

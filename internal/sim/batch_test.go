@@ -163,3 +163,35 @@ func TestBatchCancellation(t *testing.T) {
 		t.Fatal("expected cancellation error")
 	}
 }
+
+// TestBatchSingleLaneMatchesRunMix: a batch of one mix lane takes the
+// plain runner and must equal RunMixContext exactly, on both sharing
+// tiers, while still reporting its lane time to the phase observer.
+func TestBatchSingleLaneMatchesRunMix(t *testing.T) {
+	for _, pf := range []string{"", "none"} {
+		cfg, mix := batchTestConfig(t, 4)
+		if pf != "" {
+			cfg.L1Prefetcher, cfg.L2Prefetcher = pf, pf
+		}
+		spec := policies.Spec{Name: "mockingjay", Drishti: true}
+		obs := &phaseLog{}
+		cfg.Phases = obs
+		batched, err := RunBatchContext(context.Background(), cfg, []Variant{{Policy: spec}}, mix)
+		if err != nil {
+			t.Fatalf("prefetchers %q: RunBatchContext: %v", pf, err)
+		}
+		c := cfg
+		c.Policy = spec
+		c.Phases = nil
+		serial, err := RunMixContext(context.Background(), c, mix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := resultJSON(t, batched[0]), resultJSON(t, serial); got != want {
+			t.Errorf("prefetchers %q: single-lane batch differs from RunMixContext", pf)
+		}
+		if _, ok := obs.got["lane-run#0"]; !ok {
+			t.Errorf("prefetchers %q: no lane-run reported for the lane", pf)
+		}
+	}
+}

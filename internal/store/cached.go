@@ -31,11 +31,11 @@ type Cached struct {
 	max     int
 
 	mu       sync.Mutex
-	cond     *sync.Cond // broadcast when the dirty queue drains
+	cond     *sync.Cond // broadcast after each write-back and when the queue drains
 	entries  map[string]*centry
 	lru      *list.List // front = most recently used
 	dirty    []*centry  // FIFO write-back queue
-	flushing bool       // a write-back is in flight
+	inflight *centry    // the entry whose write-back is in flight, if any
 	err      error      // first async write-back failure (sticky until Flush)
 
 	wake    chan struct{}
@@ -179,13 +179,30 @@ func (c *Cached) Delete(addr string) error {
 		e.dirty = false
 		e.gen++
 	}
+	// A write-back of addr already in flight would land after the backing
+	// delete and resurrect the entry; wait for it to finish.
+	for c.inflight != nil && c.inflight.addr == addr {
+		c.cond.Wait()
+	}
 	c.mu.Unlock()
 	return c.backing.Delete(addr)
 }
 
 // List merges the backing store's listing with entries still waiting in
 // the write-back queue, so a Put is visible to List before it is durable.
+// The queue is read before the backing store: an entry the flusher writes
+// down in between is then in the snapshot, and one written down earlier
+// is already in the listing. Read the other way round, such an entry was
+// in neither.
 func (c *Cached) List() ([]string, error) {
+	c.mu.Lock()
+	var owed []string
+	for _, e := range c.entries {
+		if e.dirty {
+			owed = append(owed, e.addr)
+		}
+	}
+	c.mu.Unlock()
 	addrs, err := c.backing.List()
 	if err != nil {
 		return nil, err
@@ -194,14 +211,12 @@ func (c *Cached) List() ([]string, error) {
 	for _, a := range addrs {
 		seen[a] = true
 	}
-	c.mu.Lock()
-	for _, e := range c.entries {
-		if e.dirty && !seen[e.addr] {
-			seen[e.addr] = true
-			addrs = append(addrs, e.addr)
+	for _, a := range owed {
+		if !seen[a] {
+			seen[a] = true
+			addrs = append(addrs, a)
 		}
 	}
-	c.mu.Unlock()
 	return addrs, nil
 }
 
@@ -228,7 +243,6 @@ func (c *Cached) flusher() {
 	for {
 		c.mu.Lock()
 		for len(c.dirty) == 0 {
-			c.flushing = false
 			c.cond.Broadcast()
 			c.mu.Unlock()
 			select {
@@ -244,7 +258,7 @@ func (c *Cached) flusher() {
 			c.mu.Unlock()
 			continue
 		}
-		c.flushing = true
+		c.inflight = e
 		data, gen := e.data, e.gen
 		c.mu.Unlock()
 
@@ -259,10 +273,8 @@ func (c *Cached) flusher() {
 		} else {
 			e.dirty = false
 		}
-		c.flushing = false
-		if len(c.dirty) == 0 {
-			c.cond.Broadcast()
-		}
+		c.inflight = nil
+		c.cond.Broadcast()
 		c.mu.Unlock()
 	}
 }
@@ -277,7 +289,7 @@ func (c *Cached) Flush() error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for (len(c.dirty) > 0 || c.flushing) && !c.closed {
+	for (len(c.dirty) > 0 || c.inflight != nil) && !c.closed {
 		c.cond.Wait()
 	}
 	err := c.err
