@@ -11,7 +11,7 @@ BENCH_TIME ?= 10x
 BENCH_COUNT ?= 3
 BENCH_TOLERANCE ?= 0.10
 
-.PHONY: build test race race-serve lint verify bench bench-quick bench-gate bench-lanes trace-sample scenarios loadgen-smoke serve
+.PHONY: build test race race-serve lint fuzz verify bench bench-quick bench-gate bench-lanes trace-sample scenarios loadgen-smoke serve
 
 # Tier-1 verification (ROADMAP.md): build + tests, then the race detector
 # and static checks. The experiment harness fans simulations out onto a
@@ -19,9 +19,10 @@ BENCH_TOLERANCE ?= 0.10
 # `verify`, not optional. race-serve adds a short-mode -race pass focused
 # on the job service, durable store, and fleet layer, whose concurrency
 # (worker pool, queue, leases, atomic same-key writers) is their whole
-# point. bench-gate fails
-# verify when the quick benchmarks regress >10% against BENCH_sim.json.
-verify: build test race race-serve lint scenarios loadgen-smoke bench-gate
+# point; it covers the cell engine too. fuzz runs a short fuzzing pass
+# over the scenario parser. bench-gate fails verify when the quick
+# benchmarks regress >10% against BENCH_sim.json.
+verify: build test race race-serve lint fuzz scenarios loadgen-smoke bench-gate
 
 build:
 	$(GO) build ./...
@@ -30,18 +31,26 @@ test:
 	$(GO) test ./...
 
 # race: the full suite under the race detector, then a second pass over
-# the lockstep-batch and batched-sweep tests with DRISHTI_LANE_WORKERS=2.
+# the lockstep-batch, batched-sweep and harness-store tests with
+# DRISHTI_LANE_WORKERS=2.
 # The second pass matters on small hosts: lane-worker defaults follow
 # GOMAXPROCS, so on a 1-CPU runner the plain -race run never schedules two
 # lanes concurrently and the parallel merge/telemetry paths go untested.
 race:
 	$(GO) test -race ./...
 	DRISHTI_LANE_WORKERS=2 $(GO) test -race \
-		-run 'TestBatch|TestGoldenBatched|TestSweepBatched' \
+		-run 'TestBatch|TestGoldenBatched|TestSweepBatched|TestHarnessStore' \
 		./internal/sim/ ./internal/experiments/
 
 race-serve:
-	$(GO) test -race -short ./internal/serve/... ./internal/store/ ./internal/dist/ ./internal/obs/trace/
+	$(GO) test -race -short ./internal/serve/... ./internal/store/ ./internal/dist/ ./internal/obs/trace/ ./internal/engine/
+
+# fuzz: a short native-fuzzing pass over the scenario spec parser, on top
+# of the seed corpus plain `go test` already runs. Minimization is capped
+# at 100 runs per new input: left at its 60s default, minimizing one
+# seed-sized input would take the whole budget.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/scenario/
 
 # lint: go vet plus a gofmt cleanliness check (fails listing unformatted
 # files; run `gofmt -w` on them to fix).

@@ -9,8 +9,9 @@
 //	go test -bench=. -benchtime=1x -timeout 0           # full suite (≈40 min)
 //	DRISHTI_INSTR=400000 DRISHTI_MIXES=8 go test -bench Fig13 -benchtime 1x
 //
-// Results within one `go test -bench` process are memoized across
-// experiments that share runs (fig13/fig14/tab05/tab06 reuse one sweep), so
+// Within one `go test -bench` process every cell lands in the harness's
+// in-memory result store, so experiments that share runs
+// (fig13/fig14/tab05/tab06 reuse one sweep) are served from it, and
 // benching everything costs far less than the sum of the parts.
 package drishti_test
 

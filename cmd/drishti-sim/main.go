@@ -237,7 +237,7 @@ func knownPolicy(name string) bool {
 }
 
 // compiledRunJSON is the -scenario -json summary of one compiled run; the
-// key fields are the exact content addresses the store and memo caches use.
+// key fields are the exact content addresses the result store uses.
 type compiledRunJSON struct {
 	Name         string `json:"name"`
 	Cores        int    `json:"cores"`
@@ -292,21 +292,27 @@ func runScenario(w io.Writer, path string, check, jsonOut bool, override func(*s
 	}
 	if !check {
 		for _, r := range c.Runs {
-			for _, p := range c.Policies {
+			// One lockstep batch per scenario run: its policies share a
+			// single generation of the run's access streams.
+			variants := make([]sim.Variant, len(c.Policies))
+			for i, p := range c.Policies {
 				cfg := r.Cfg
 				cfg.Policy = p
 				log.Info("running", "run", obs.RunID(cfg.Key(), r.Mix.Key()),
 					"scenarioRun", r.Name, "policy", p.DisplayName(), "mix", r.Mix.Name)
-				res, err := sim.RunMix(cfg, r.Mix)
-				if err != nil {
-					return fmt.Errorf("scenario run %s policy %s: %w", r.Name, p.DisplayName(), err)
-				}
+				variants[i] = sim.Variant{Policy: p}
+			}
+			results, err := sim.RunBatchContext(context.Background(), r.Cfg, variants, r.Mix)
+			if err != nil {
+				return fmt.Errorf("scenario run %s: %w", r.Name, err)
+			}
+			for i, p := range c.Policies {
 				if jsonOut {
-					out.Results = append(out.Results, scenarioCell{Run: r.Name, Policy: p.DisplayName(), Result: res})
+					out.Results = append(out.Results, scenarioCell{Run: r.Name, Policy: p.DisplayName(), Result: results[i]})
 					continue
 				}
 				fmt.Fprintf(w, "== scenario %s  run=%s  policy=%s\n", c.Spec.Name, r.Name, p.DisplayName())
-				report(cfg, r.Mix, res)
+				report(r.Cfg, r.Mix, results[i]) // the policy name comes from the result
 				fmt.Fprintln(w)
 			}
 		}

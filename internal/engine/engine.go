@@ -1,8 +1,9 @@
-// Package engine is the one way a store-backed deployment turns sweep
-// cells into results. The single-node job service, fleet workers and the
-// coordinator's local fallback all hand it a batch group — cells that
-// describe the same machine running the same mix and differ only in
-// replacement policy — and it resolves the group with at most one
+// Package engine is the one way a store-backed caller turns sweep cells
+// into results. The single-node job service, fleet workers, the
+// coordinator's local fallback and the experiment harness all hand it a
+// batch group — cells that describe the same machine running the same mix
+// and differ only in replacement policy or in being a per-core alone run —
+// and it resolves the group with at most one
 // lockstep simulation (sim.RunBatchContext): every cell is looked up in
 // the content-addressed store, the misses run as the lanes of one batch
 // over a single generation of the access streams, and fresh results are
@@ -17,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"drishti/internal/obs"
 	"drishti/internal/obs/trace"
 	"drishti/internal/policies"
 	"drishti/internal/serve/api"
@@ -27,9 +29,13 @@ import (
 
 // Cell is one simulation of a batch group.
 type Cell struct {
-	Key    string // content address in the store (api.CellKey)
+	Key    string // content address in the store (api.CellKey, or api.AloneCellKey for alone cells)
 	Config sim.Config
 	Mix    workload.Mix
+	// Alone/AloneCore make the cell a per-core alone run: only core
+	// AloneCore is active (sim.Variant semantics, telemetry off).
+	Alone     bool
+	AloneCore int
 	// Parent is the span the cell's spans hang under (its lease span in
 	// the fleet, the job span on a single node); zero with tracing off.
 	Parent trace.SpanContext
@@ -55,6 +61,10 @@ func GroupKey(cfg sim.Config, mix workload.Mix) string {
 // phase timings (parented like its first lane), each lane a "lane" span
 // under its own cell's parent, and store traffic "store-hit" /
 // "store-write" spans. With tr nil nothing is emitted.
+//
+// With a telemetry sink on the cells' config, each lane's epochs are
+// tagged with its 1-based lane index and its cell's run ID, so a shared
+// sink never collapses the lanes of one batch into a single stream.
 //
 // laneWorkers caps the batch's concurrent lane execution
 // (sim.Config.LaneWorkers). Callers pass the scheduler slots the group
@@ -91,7 +101,7 @@ func Run(ctx context.Context, st *store.Store, log *slog.Logger, tr *trace.Trace
 			continue
 		}
 		lanes = append(lanes, i)
-		vars = append(vars, sim.Variant{Policy: c.Config.Policy})
+		vars = append(vars, sim.Variant{Policy: c.Config.Policy, Alone: c.Alone, AloneCore: c.AloneCore})
 	}
 	if len(lanes) == 0 {
 		return results, fromStore, nil
@@ -100,6 +110,12 @@ func Run(ctx context.Context, st *store.Store, log *slog.Logger, tr *trace.Trace
 	base := cells[lanes[0]]
 	cfg := base.Config
 	cfg.LaneWorkers = laneWorkers // observational only; excluded from Config.Key
+	if cfg.TelemetryEpoch > 0 && cfg.TelemetrySink != nil {
+		mixKey := base.Mix.Key()
+		for k, i := range lanes {
+			vars[k].TelemetrySink = obs.TagEpochs(cfg.TelemetrySink, k+1, obs.RunID(cells[i].Config.Key(), mixKey))
+		}
+	}
 	var pt *phaseTimes
 	gspan := tr.Start(base.Parent, "batch-group")
 	if gspan != nil {

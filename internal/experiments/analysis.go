@@ -40,7 +40,7 @@ func Fig17Ablation(p Params, w io.Writer) error {
 		{"heterogeneous", workload.HeterogeneousMixes(p.scaleModels(cfg, workload.AllSPECGAP()), cores, p.Mixes, p.Seed^0xdeadbeef)},
 	}
 	for _, g := range groups {
-		sr, err := runSweepCached(cfg, g.mixes, specs, p)
+		sr, err := runSweep(cfg, g.mixes, specs, p)
 		if err != nil {
 			return err
 		}
@@ -81,7 +81,7 @@ func Fig19OtherWorkloads(p Params, w io.Writer) error {
 		cfg := p.config(cores)
 		models := p.scaleModels(cfg, workload.Fig19Models())
 		mixes := workload.HeterogeneousMixes(models, cores, min2(p.Mixes*2, 50), p.Seed^0xf19)
-		sr, err := runSweepCached(cfg, mixes, specs, p)
+		sr, err := runSweep(cfg, mixes, specs, p)
 		if err != nil {
 			return err
 		}

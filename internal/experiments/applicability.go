@@ -50,7 +50,7 @@ func Tab08OtherPolicies(p Params, w io.Writer) error {
 		{Name: "glider"},
 		{Name: "glider", Drishti: true},
 	}
-	sr, err := runSweepCached(cfg, mixes, specs, p)
+	sr, err := runSweep(cfg, mixes, specs, p)
 	if err != nil {
 		return err
 	}

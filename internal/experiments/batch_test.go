@@ -91,7 +91,7 @@ func resultJSON(t *testing.T, r *sim.Result) string {
 // requires the result to be bit-identical to the fully serial sweep.
 // Under -race this is the composition check: batch groups running on the
 // sweep pool while each group's lanes run on its own lane pool, all
-// through the shared memo caches.
+// through the shared harness store.
 func TestSweepBatchedLaneWorkersMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep determinism test is not -short")

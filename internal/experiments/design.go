@@ -8,7 +8,6 @@ import (
 	"drishti/internal/fabric"
 	"drishti/internal/noc"
 	"drishti/internal/policies"
-	"drishti/internal/sim"
 	"drishti/internal/stats"
 )
 
@@ -21,17 +20,17 @@ func Fig10PredictorAPKI(p Params, w io.Writer) error {
 		cfg := p.config(cores)
 		mixes := p.paperMixes(cfg, cores)
 		var centMax, centAvg, pcgMax, pcgAvg []float64
-		// Both placements of a mix run as one two-lane lockstep batch.
-		var variants []sim.Variant
+		// Both placements of a mix form one two-cell batch group.
+		var specs []policies.Spec
 		for _, place := range []fabric.Placement{fabric.Centralized, fabric.PerCoreGlobal} {
-			variants = append(variants, sim.Variant{Policy: policies.Spec{
+			specs = append(specs, policies.Spec{
 				Name:             "mockingjay",
 				Placement:        policies.PlacementPtr(place),
 				FixedPredLatency: 1, // isolate traffic from timing effects
-			}})
+			})
 		}
 		for _, mix := range mixes {
-			res, err := sim.RunBatchContext(p.ctx(), cfg, variants, mix)
+			res, err := runCells(p, cfg, mix, specs)
 			if err != nil {
 				return err
 			}
@@ -86,7 +85,7 @@ func Fig11aNoNocstar(p Params, w io.Writer) error {
 	for _, cores := range []int{4, 16, 32} {
 		cfg := p.config(cores)
 		mixes := p.paperMixes(cfg, cores)
-		sr, err := runSweepCached(cfg, mixes, specs, p)
+		sr, err := runSweep(cfg, mixes, specs, p)
 		if err != nil {
 			return err
 		}
@@ -112,7 +111,7 @@ func Fig11bLatencySweep(p Params, w io.Writer) error {
 	for _, lat := range latencies {
 		specs = append(specs, policies.Spec{Name: "mockingjay", Drishti: true, FixedPredLatency: lat})
 	}
-	sr, err := runSweepCached(cfg, mixes, specs, p)
+	sr, err := runSweep(cfg, mixes, specs, p)
 	if err != nil {
 		return err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"drishti/internal/fabric"
 	"drishti/internal/policies"
-	"drishti/internal/sim"
 )
 
 // Tab02DesignSpace quantifies Table 2: the four ways to give reuse
@@ -36,16 +35,16 @@ func Tab02DesignSpace(p Params, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "%-44s %-8s %-10s %-11s %-11s %-9s %-12s\n",
 		"design", "global?", "lookups", "trainings", "broadcasts", "remote", "hottest-bank")
-	// Every design runs as one lane of a single lockstep batch.
-	variants := make([]sim.Variant, len(rows))
+	// Every design is one cell of a single batch group.
+	specs := make([]policies.Spec, len(rows))
 	for i, row := range rows {
-		variants[i] = sim.Variant{Policy: policies.Spec{
+		specs[i] = policies.Spec{
 			Name:             "mockingjay",
 			Placement:        policies.PlacementPtr(row.place),
 			FixedPredLatency: 1, // isolate traffic from timing
-		}}
+		}
 	}
-	results, err := sim.RunBatchContext(p.ctx(), cfg, variants, mix)
+	results, err := runCells(p, cfg, mix, specs)
 	if err != nil {
 		return err
 	}

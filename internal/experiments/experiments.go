@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -66,8 +67,8 @@ type Params struct {
 	Logger *slog.Logger
 
 	// Progress, when non-nil, receives live sweep accounting (cells
-	// dispatched/completed). Sweeps served from the memo cache do no work
-	// and are not counted.
+	// dispatched/completed). Cells served from the harness store count as
+	// done like simulated ones.
 	Progress *obs.Progress
 
 	// TelemetryEpoch/TelemetrySink enable the sim-level epoch snapshotter
@@ -266,7 +267,7 @@ func geomean(xs []float64) float64 {
 	for _, x := range xs {
 		prod *= x
 	}
-	return pow(prod, 1/float64(len(xs)))
+	return math.Pow(prod, 1/float64(len(xs)))
 }
 
 func pctOver(x float64) float64 { return (x - 1) * 100 }

@@ -24,7 +24,7 @@ func Scalability(p Params, w io.Writer) error {
 		mixes := p.paperMixes(cfg, cores)
 		limit := min2(len(mixes), 4)
 		mixes = mixes[:limit]
-		sr, err := runSweepCached(cfg, mixes, specs, p)
+		sr, err := runSweep(cfg, mixes, specs, p)
 		if err != nil {
 			return err
 		}
@@ -59,7 +59,7 @@ func ExtApplicability(p Params, w io.Writer) error {
 		{Name: "ipv"},
 		{Name: "eva"},
 	}
-	sr, err := runSweepCached(cfg, mixes, specs, p)
+	sr, err := runSweep(cfg, mixes, specs, p)
 	if err != nil {
 		return err
 	}

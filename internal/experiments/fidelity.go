@@ -34,7 +34,7 @@ func FidelityAblation(p Params, w io.Writer) error {
 		v.edit(&cfg)
 		mixes := p.paperMixes(cfg, cores)
 		mixes = mixes[:min2(p.Mixes, len(mixes))]
-		sr, err := runSweepCached(cfg, mixes, specs, p)
+		sr, err := runSweep(cfg, mixes, specs, p)
 		if err != nil {
 			return err
 		}

@@ -4,81 +4,62 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
-	"strings"
+	"log/slog"
 	"sync"
 
-	"drishti/internal/memo"
+	"drishti/internal/engine"
 	"drishti/internal/metrics"
 	"drishti/internal/obs"
 	"drishti/internal/policies"
+	"drishti/internal/serve/api"
 	"drishti/internal/sim"
+	"drishti/internal/store"
 	"drishti/internal/workload"
 )
 
-func pow(x, y float64) float64 { return math.Pow(x, y) }
+// harness is the process-level store every harness cell resolves
+// through (engine.Run): sweep cells, each mix's LRU baseline and its
+// per-core alone calibration are all entries, so several figures reusing
+// the same runs (fig13/fig14/tab05 share sweeps, and every sweep of a mix
+// shares its baseline and alone runs) get store hits instead of
+// re-simulating. Keys are api.CellKey/api.AloneCellKey, so results are
+// exact. The store is a Cached tier of store.DefaultCacheEntries over a
+// backend that keeps nothing: resident results stay bounded at any
+// -mixes, and LRU eviction keeps the runs the current experiment reuses.
+var harness struct {
+	mu   sync.Mutex
+	tier *store.Cached // nil until first use and after ResetCache
+	st   *store.Store
+}
 
-// Cross-experiment memoization: several figures reuse the same runs
-// (fig13/fig14/tab05 share sweeps, and every sweep of a mix shares its
-// LRU baseline and alone calibration). Keys are the explicit sim.Config /
-// workload.Mix / policies.Spec key builders, so results are exact. The
-// caches are singleflight: concurrent sweep workers asking for the same
-// run block on one execution instead of duplicating it or serializing
-// unrelated runs. Capacities bound resident results so `drishti-bench
-// all` at large -mixes cannot grow without limit; LRU eviction keeps the
-// runs the current experiment is reusing.
-const (
-	evalCacheCap  = 512
-	sweepCacheCap = 64
-)
-
-var (
-	evalCache  = memo.New[*mixEval](evalCacheCap)
-	sweepCache = memo.New[*sweepResult](sweepCacheCap)
-)
-
-// ResetCache clears the cross-experiment memo (tests use it to isolate
-// runs and bound memory; the cmd binary never needs to).
+// ResetCache starts the harness store cold: it closes the current tier,
+// and the next cell opens an empty one (tests use it to isolate runs;
+// benchmarks to time cold sweeps).
 func ResetCache() {
-	evalCache.Reset()
-	sweepCache.Reset()
-}
-
-// cfgKey identifies one (machine, mix) simulation.
-func cfgKey(cfg sim.Config, mix workload.Mix) string {
-	return cfg.Key() + "|" + mix.Key()
-}
-
-func sweepKey(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec) string {
-	var b strings.Builder
-	b.WriteString(cfg.Key())
-	fmt.Fprintf(&b, "|mixes=%d", len(mixes))
-	for _, m := range mixes {
-		b.WriteByte('|')
-		b.WriteString(m.Key())
+	harness.mu.Lock()
+	old := harness.tier
+	harness.tier, harness.st = nil, nil
+	harness.mu.Unlock()
+	if old != nil {
+		old.Close()
 	}
-	for _, s := range specs {
-		b.WriteByte('|')
-		b.WriteString(s.Key())
+}
+
+// harnessStore returns the current harness store, opening it if needed.
+func harnessStore() *store.Store {
+	harness.mu.Lock()
+	defer harness.mu.Unlock()
+	if harness.st == nil {
+		harness.tier = store.NewCached(store.Discard{}, store.DefaultCacheEntries)
+		harness.st = store.OpenBackend(harness.tier)
 	}
-	return b.String()
+	return harness.st
 }
 
-// runSweepCached is runSweep with memoization keyed by config, mixes, and
-// specs. Parallelism, logging, and progress are deliberately not part of
-// the key: every parallelism produces bit-identical results (asserted by
-// TestSweepParallelMatchesSerial), and observability never changes them.
-func runSweepCached(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Params) (*sweepResult, error) {
-	return sweepCache.Do(sweepKey(cfg, mixes, specs), func() (*sweepResult, error) {
-		return runSweep(cfg, mixes, specs, p)
-	})
-}
-
-// mixEval is the cached evaluation context for one mix: the LRU baseline run
-// and the per-core alone IPCs (measured under LRU and shared across
-// policies; see DESIGN.md §4).
+// mixEval is the evaluation context for one mix: the LRU baseline run and
+// the per-core alone IPCs (measured under LRU and shared across policies;
+// see DESIGN.md §4).
 type mixEval struct {
-	mix     workload.Mix
 	alone   []float64
 	baseWS  float64
 	baseRes *sim.Result
@@ -91,31 +72,26 @@ type policyOutcome struct {
 	normWS float64 // WS(policy) / WS(lru) — the paper's headline metric
 }
 
-// sweep runs a set of policy specs over a set of mixes, returning
-// per-policy geomean normalized WS plus per-mix details, and optionally
-// streaming progress to w.
+// sweepResult holds a sweep's per-mix evaluations and per-(spec, mix)
+// outcomes.
 type sweepResult struct {
-	specs    []policies.Spec
-	mixes    []workload.Mix
 	evals    []*mixEval
 	normWS   [][]float64 // [spec][mix]
 	outcomes [][]*policyOutcome
 }
 
-// runSweep executes the sweep mix by mix, folding each mix's cells into
-// one lockstep batch (runBatchedMix): the per-core alone calibration lanes
-// and the LRU baseline lane (both skipped when the mix's eval is already
-// cached) ride with the policy lanes over a single shared generation of
-// the access streams, so workload generation is paid once per mix instead
-// of once per run. A bounded worker pool dispatches whole mixes; results
-// are bit-identical at every parallelism. On failure the sweep stops
-// dispatching and returns the lowest-mix error — mixes are dispatched in
-// order, so every mix before the winner has already run, which makes the
-// error the serial sweep's.
+// runSweep executes the sweep mix by mix, resolving each mix's cells as
+// one batch group (runBatchedMix): the per-core alone calibration cells
+// and the LRU baseline ride with the policy cells, and whichever of them
+// the harness store does not already hold run as the lanes of one
+// lockstep batch over a single shared generation of the access streams.
+// A bounded worker pool dispatches whole mixes; results are bit-identical
+// at every parallelism. On failure the sweep stops dispatching and
+// returns the lowest-mix error — mixes are dispatched in order, so every
+// mix before the winner has already run, which makes the error the
+// serial sweep's.
 func runSweep(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Params) (*sweepResult, error) {
 	sr := &sweepResult{
-		specs:    specs,
-		mixes:    mixes,
 		evals:    make([]*mixEval, len(mixes)),
 		normWS:   make([][]float64, len(specs)),
 		outcomes: make([][]*policyOutcome, len(specs)),
@@ -153,9 +129,9 @@ func runSweep(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Par
 			par = 1
 		}
 	}
-	cfg.LaneWorkers = lw // excluded from Key(): no cache identity drift
+	st := harnessStore()
 	runOne := func(mi int) error {
-		ev, outs, err := runBatchedMix(ctx, cfg, mixes[mi], specs)
+		ev, outs, err := runBatchedMix(ctx, st, log, cfg, mixes[mi], specs, lw)
 		if err != nil {
 			return err
 		}
@@ -213,89 +189,76 @@ func runSweep(cfg sim.Config, mixes []workload.Mix, specs []policies.Spec, p Par
 	return sr, nil
 }
 
-// runBatchedMix runs one mix's lanes — per-core alone calibration and the
-// LRU baseline when the eval is not already cached, plus one lane per
-// policy spec — as a single lockstep batch, and assembles the
-// mixEval/policyOutcome values that serial runs of each cell would give.
-// When LRU is itself one of the swept specs its lane doubles as the
-// baseline, so the baseline simulation is not repeated.
-func runBatchedMix(ctx context.Context, cfg sim.Config, mix workload.Mix, specs []policies.Spec) (*mixEval, []*policyOutcome, error) {
-	lru := policies.Spec{Name: "lru"}
+// runBatchedMix resolves one mix's cells — per-core alone calibration and
+// the LRU baseline, plus one cell per policy spec — as a single engine
+// batch group against st, and assembles the mixEval/policyOutcome values
+// that serial runs of each cell would give. When LRU is itself one of the
+// swept specs its cell doubles as the baseline. Cell order (alone, policy,
+// baseline) fixes the lane order, and with it the epochs' lane tags.
+func runBatchedMix(ctx context.Context, st *store.Store, log *slog.Logger, cfg sim.Config, mix workload.Mix, specs []policies.Spec, laneWorkers int) (*mixEval, []*policyOutcome, error) {
 	base := cfg
-	base.Policy = lru
-	evKey := cfgKey(base, mix)
-	ev, cached := evalCache.Get(evKey)
-
-	var variants []sim.Variant
-	aloneIdx := -1
-	if !cached {
-		aloneIdx = len(variants)
-		for c := 0; c < cfg.Cores; c++ {
-			variants = append(variants, sim.Variant{Policy: lru, Alone: true, AloneCore: c})
-		}
+	base.Policy = policies.Spec{Name: "lru"}
+	cells := make([]engine.Cell, 0, cfg.Cores+len(specs)+1)
+	for c := 0; c < cfg.Cores; c++ {
+		cells = append(cells, engine.Cell{Key: api.AloneCellKey(base, mix, c), Config: base, Mix: mix, Alone: true, AloneCore: c})
 	}
 	baseIdx := -1
-	specIdx := make([]int, len(specs))
-	for si, spec := range specs {
-		specIdx[si] = len(variants)
-		variants = append(variants, sim.Variant{Policy: spec})
-		if baseIdx < 0 && spec.Key() == lru.Key() {
-			baseIdx = specIdx[si] // the LRU cell doubles as the baseline
+	lruKey := base.Policy.Key()
+	for _, spec := range specs {
+		if baseIdx < 0 && spec.Key() == lruKey {
+			baseIdx = len(cells) // the LRU cell doubles as the baseline
 		}
+		cells = append(cells, policyCell(cfg, mix, spec))
 	}
-	if !cached && baseIdx < 0 {
-		baseIdx = len(variants)
-		variants = append(variants, sim.Variant{Policy: lru})
+	if baseIdx < 0 {
+		baseIdx = len(cells)
+		cells = append(cells, policyCell(cfg, mix, base.Policy))
 	}
-
-	if cfg.TelemetryEpoch > 0 && cfg.TelemetrySink != nil {
-		// Per-lane attribution: each lane's epochs carry its 1-based lane
-		// index and its cell's run ID, so a shared sink never collapses
-		// the K lanes of one batch into a single indistinguishable stream.
-		for i := range variants {
-			c := cfg
-			c.Policy = variants[i].Policy
-			variants[i].TelemetrySink = obs.TagEpochs(cfg.TelemetrySink, i+1, obs.RunID(c.Key(), mix.Key()))
-		}
-	}
-	results, err := sim.RunBatchContext(ctx, cfg, variants, mix)
+	results, _, err := engine.Run(ctx, st, log, nil, cells, laneWorkers)
 	if err != nil {
 		return nil, nil, fmt.Errorf("batched cells for %s: %w", mix.Name, err)
 	}
 
-	if !cached {
-		alone := make([]float64, cfg.Cores)
-		for c := 0; c < cfg.Cores; c++ {
-			alone[c] = results[aloneIdx+c].PerCore[c].IPC
-			if alone[c] <= 0 {
-				return nil, nil, fmt.Errorf("mix %s core %d: zero alone IPC", mix.Name, c)
-			}
-		}
-		baseRes := results[baseIdx]
-		m, err := metrics.Compute(baseRes.IPCs(), alone)
-		if err != nil {
-			return nil, nil, err
-		}
-		fresh := &mixEval{mix: mix, alone: alone, baseWS: m.WS, baseRes: baseRes}
-		// Publish through the cache's singleflight so concurrent batches
-		// of the same mix share one eval; whichever side wins the race,
-		// the values are bit-identical.
-		ev, err = evalCache.Do(evKey, func() (*mixEval, error) { return fresh, nil })
-		if err != nil {
-			return nil, nil, err
+	alone := make([]float64, cfg.Cores)
+	for c := range alone {
+		if alone[c] = results[c].PerCore[c].IPC; alone[c] <= 0 {
+			return nil, nil, fmt.Errorf("mix %s core %d: zero alone IPC", mix.Name, c)
 		}
 	}
-
+	baseRes := results[baseIdx]
+	m, err := metrics.Compute(baseRes.IPCs(), alone)
+	if err != nil {
+		return nil, nil, err
+	}
+	ev := &mixEval{alone: alone, baseWS: m.WS, baseRes: baseRes}
 	outs := make([]*policyOutcome, len(specs))
 	for si := range specs {
-		res := results[specIdx[si]]
-		m, err := metrics.Compute(res.IPCs(), ev.alone)
+		res := results[cfg.Cores+si]
+		m, err := metrics.Compute(res.IPCs(), alone)
 		if err != nil {
 			return nil, nil, err
 		}
 		outs[si] = &policyOutcome{res: res, multi: m, normWS: m.WS / ev.baseWS}
 	}
 	return ev, outs, nil
+}
+
+// policyCell is the engine cell of spec on cfg's machine running mix.
+func policyCell(cfg sim.Config, mix workload.Mix, spec policies.Spec) engine.Cell {
+	cfg.Policy = spec
+	return engine.Cell{Key: api.CellKey(cfg, mix), Config: cfg, Mix: mix}
+}
+
+// runCells resolves one cell per spec of cfg's machine on mix as a single
+// batch group against the harness store, returning results aligned with
+// specs.
+func runCells(p Params, cfg sim.Config, mix workload.Mix, specs []policies.Spec) ([]*sim.Result, error) {
+	cells := make([]engine.Cell, len(specs))
+	for i, spec := range specs {
+		cells[i] = policyCell(cfg, mix, spec)
+	}
+	results, _, err := engine.Run(p.ctx(), harnessStore(), p.logger(), nil, cells, p.LaneWorkers)
+	return results, err
 }
 
 // geoNormWS returns the geomean normalized WS for spec index si.

@@ -23,7 +23,7 @@ func Fig13MainPerf(p Params, w io.Writer) error {
 	for _, cores := range []int{4, 16, 32} {
 		cfg := p.config(cores)
 		mixes := p.paperMixes(cfg, cores)
-		sr, err := runSweepCached(cfg, mixes, specs, p)
+		sr, err := runSweep(cfg, mixes, specs, p)
 		if err != nil {
 			return err
 		}
@@ -51,7 +51,7 @@ func Fig14MissReduction(p Params, w io.Writer) error {
 	for _, cores := range []int{4, 16, 32} {
 		cfg := p.config(cores)
 		mixes := p.paperMixes(cfg, cores)
-		sr, err := runSweepCached(cfg, mixes, specs, p)
+		sr, err := runSweep(cfg, mixes, specs, p)
 		if err != nil {
 			return err
 		}
@@ -82,7 +82,7 @@ func Tab05WPKI(p Params, w io.Writer) error {
 	for _, cores := range []int{4, 16, 32} {
 		cfg := p.config(cores)
 		mixes := p.paperMixes(cfg, cores)
-		sr, err := runSweepCached(cfg, mixes, specs, p)
+		sr, err := runSweep(cfg, mixes, specs, p)
 		if err != nil {
 			return err
 		}
@@ -109,7 +109,7 @@ func Fig15Energy(p Params, w io.Writer) error {
 	for _, cores := range []int{16, 32} {
 		cfg := p.config(cores)
 		mixes := p.paperMixes(cfg, cores)
-		sr, err := runSweepCached(cfg, mixes, specs, p)
+		sr, err := runSweep(cfg, mixes, specs, p)
 		if err != nil {
 			return err
 		}
@@ -131,7 +131,7 @@ func Tab06Metrics(p Params, w io.Writer) error {
 	cfg := p.config(cores)
 	mixes := p.paperMixes(cfg, cores)
 	specs := mainSpecs()
-	sr, err := runSweepCached(cfg, mixes, specs, p)
+	sr, err := runSweep(cfg, mixes, specs, p)
 	if err != nil {
 		return err
 	}
@@ -168,7 +168,7 @@ func Fig16PerMix(p Params, w io.Writer) error {
 	cfg := p.config(cores)
 	mixes := p.paperMixes(cfg, cores)
 	specs := []policies.Spec{{Name: "mockingjay"}, {Name: "mockingjay", Drishti: true}}
-	sr, err := runSweepCached(cfg, mixes, specs, p)
+	sr, err := runSweep(cfg, mixes, specs, p)
 	if err != nil {
 		return err
 	}

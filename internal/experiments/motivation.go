@@ -293,8 +293,8 @@ func Tab01SampledSetCases(p Params, w io.Writer) error {
 	}
 	topPer, botPer, mixPer := rankSets(profSys.Slices(), n)
 
-	// The random baseline and the three cases ride one lockstep batch
-	// with the mix's LRU baseline and alone calibration lanes.
+	// The random baseline and the three cases form one batch group with
+	// the mix's LRU baseline and alone calibration cells.
 	specs := []policies.Spec{{Name: "mockingjay", SampledSets: n}}
 	cases := []struct {
 		label string
@@ -307,7 +307,7 @@ func Tab01SampledSetCases(p Params, w io.Writer) error {
 	for _, cse := range cases {
 		specs = append(specs, policies.Spec{Name: "mockingjay", FixedPerSlice: cse.per})
 	}
-	_, outs, err := runBatchedMix(p.ctx(), cfg, mix, specs)
+	_, outs, err := runBatchedMix(p.ctx(), harnessStore(), p.logger(), cfg, mix, specs, p.LaneWorkers)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"drishti/internal/policies"
 	"drishti/internal/sim"
+	"drishti/internal/store"
 	"drishti/internal/workload"
 )
 
@@ -150,30 +151,87 @@ func TestSweepEvalErrorDeterministic(t *testing.T) {
 	ResetCache()
 }
 
-// TestRunSweepCachedSingleflight: a second identical request is served
-// from the cache (same result pointer), and parallelism is not part of
-// the key.
-func TestRunSweepCachedSingleflight(t *testing.T) {
+// TestHarnessStoreRepeatSweepAllHits: an identical second sweep at a
+// different parallelism is served entirely from the harness store — zero
+// puts, one hit per cell — with equal values. Parallelism is not part of
+// any cell key.
+func TestHarnessStoreRepeatSweepAllHits(t *testing.T) {
+	if testing.Short() {
+		t.Skip()
+	}
+	cfg, mixes, specs := sweepFixture()
+	ResetCache()
+	defer ResetCache()
+	// The cold sweep runs both mixes at once with two lane workers each,
+	// so concurrent batch groups write the store together.
+	a, err := runSweep(cfg, mixes, specs, Params{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per mix: the alone cells, one cell per spec, and the baseline.
+	perSweep := uint64(len(mixes) * (cfg.Cores + len(specs) + 1))
+	before := harnessStore().Stats()
+	if before.Puts != perSweep || before.PutErrors != 0 {
+		t.Fatalf("cold sweep: %d puts (%d failed), want %d", before.Puts, before.PutErrors, perSweep)
+	}
+	b, err := runSweep(cfg, mixes, specs, Params{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := harnessStore().Stats()
+	if puts := after.Puts - before.Puts; puts != 0 {
+		t.Errorf("repeat sweep wrote %d store entries, want 0", puts)
+	}
+	if misses := after.Misses - before.Misses; misses != 0 {
+		t.Errorf("repeat sweep missed the store %d times, want 0", misses)
+	}
+	if hits := after.Hits - before.Hits; hits != perSweep {
+		t.Errorf("repeat sweep had %d store hits, want %d", hits, perSweep)
+	}
+	for si := range specs {
+		for mi := range mixes {
+			if a.normWS[si][mi] != b.normWS[si][mi] {
+				t.Errorf("normWS[%d][%d]: %v != %v", si, mi, a.normWS[si][mi], b.normWS[si][mi])
+			}
+			if got, want := resultJSON(t, b.outcomes[si][mi].res), resultJSON(t, a.outcomes[si][mi].res); got != want {
+				t.Errorf("result[%d][%d] served from the store differs from the run", si, mi)
+			}
+		}
+	}
+	for mi := range mixes {
+		if a.evals[mi].baseWS != b.evals[mi].baseWS {
+			t.Errorf("baseWS[%d]: %v != %v", mi, a.evals[mi].baseWS, b.evals[mi].baseWS)
+		}
+	}
+}
+
+// TestHarnessStoreNewSpecRunsOwnLanes: a new spec on a mix the store
+// already holds runs only its own cell; the alone calibration, the
+// baseline and the earlier spec are hits.
+func TestHarnessStoreNewSpecRunsOwnLanes(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
 	p := tinyParams()
 	cfg := p.config(2)
 	mixes := p.paperMixes(cfg, 2)[:1]
-	specs := []policies.Spec{{Name: "srrip"}}
 	ResetCache()
-	a, err := runSweepCached(cfg, mixes, specs, Params{Parallelism: 1})
-	if err != nil {
+	defer ResetCache()
+	if _, err := runSweep(cfg, mixes, []policies.Spec{{Name: "srrip"}}, Params{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
-	b, err := runSweepCached(cfg, mixes, specs, Params{Parallelism: 4})
-	if err != nil {
+	st := harnessStore()
+	before := st.Stats()
+	if _, err := runSweep(cfg, mixes, []policies.Spec{{Name: "srrip"}, {Name: "hawkeye"}}, Params{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatal("identical sweep recomputed: parallelism leaked into the cache key")
+	after := st.Stats()
+	if puts := after.Puts - before.Puts; puts != 1 {
+		t.Errorf("new spec wrote %d store entries, want 1 (its own cell)", puts)
 	}
-	ResetCache()
+	if hits, want := after.Hits-before.Hits, uint64(cfg.Cores+2); hits != want {
+		t.Errorf("%d store hits, want %d (alone cells, baseline, srrip)", hits, want)
+	}
 }
 
 // TestParallelParam: flag/env plumbing and the GOMAXPROCS fallback.
@@ -191,23 +249,29 @@ func TestParallelParam(t *testing.T) {
 	}
 }
 
-// TestCachesBounded: the memo caches advertise finite capacities and
-// ResetCache empties them.
+// TestCachesBounded: the harness store is a memory tier of a fixed,
+// finite capacity, and ResetCache empties it.
 func TestCachesBounded(t *testing.T) {
-	if evalCache.Cap() <= 0 || sweepCache.Cap() <= 0 {
-		t.Fatal("cross-experiment caches must be bounded")
+	ResetCache()
+	defer ResetCache()
+	harnessStore()
+	if got := harness.tier.Cap(); got != store.DefaultCacheEntries {
+		t.Fatalf("harness store cap = %d, want %d", got, store.DefaultCacheEntries)
 	}
 	p := tinyParams()
 	cfg := p.config(2)
 	mixes := p.paperMixes(cfg, 2)[:1]
-	if _, err := runSweepCached(cfg, mixes, []policies.Spec{{Name: "srrip"}}, Params{Parallelism: 1}); err != nil {
+	if _, err := runSweep(cfg, mixes, []policies.Spec{{Name: "srrip"}}, Params{Parallelism: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if evalCache.Len() == 0 || sweepCache.Len() == 0 {
-		t.Fatal("sweep or its eval not cached")
+	if harness.tier.Len() == 0 {
+		t.Fatal("sweep cells not in the harness store")
 	}
 	ResetCache()
-	if evalCache.Len() != 0 || sweepCache.Len() != 0 {
-		t.Fatal("ResetCache left entries behind")
+	if got := harnessStore().Stats(); got != (store.Stats{}) {
+		t.Fatalf("fresh harness store has activity %+v", got)
+	}
+	if n := harness.tier.Len(); n != 0 {
+		t.Fatalf("ResetCache left %d entries behind", n)
 	}
 }

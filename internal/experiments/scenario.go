@@ -24,7 +24,7 @@ func RunScenario(p Params, c *scenario.Compiled, w io.Writer) error {
 			cfg.TelemetryEpoch = p.TelemetryEpoch
 			cfg.TelemetrySink = p.TelemetrySink
 		}
-		sr, err := runSweepCached(cfg, []workload.Mix{run.Mix}, c.Policies, p)
+		sr, err := runSweep(cfg, []workload.Mix{run.Mix}, c.Policies, p)
 		if err != nil {
 			return fmt.Errorf("scenario %s run %s: %w", c.Spec.Name, run.Name, err)
 		}

@@ -31,7 +31,7 @@ func sensitivitySweep(p Params, w io.Writer, variants []struct {
 		mixes := p.paperMixes(cfg, cores)
 		// The paper's sensitivity studies use homogeneous mixes only.
 		mixes = mixes[:min2(p.Mixes, len(mixes))]
-		sr, err := runSweepCached(cfg, mixes, specs, p)
+		sr, err := runSweep(cfg, mixes, specs, p)
 		if err != nil {
 			return err
 		}

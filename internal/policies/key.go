@@ -5,8 +5,8 @@ import (
 	"strings"
 )
 
-// Key returns a stable identity string for the spec, suitable for memo
-// cache keys. A %+v rendering is not: the optional fields are pointers,
+// Key returns a stable identity string for the spec, suitable for store
+// cell keys. A %+v rendering is not: the optional fields are pointers,
 // so two specs equal in every resolved knob — built by different call
 // sites — would render as distinct addresses and never share a cache
 // entry. Key dereferences every pointer (encoding nil distinctly from

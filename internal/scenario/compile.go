@@ -83,7 +83,7 @@ func (s Spec) Compile(baseDir string) (*Compiled, error) {
 // Key returns the scenario's content address: the spec identity plus
 // every run's exact sim.Config / workload.Mix keys and every policy key.
 // Two scenarios with equal keys describe the same set of simulations, so
-// store, memo LRU, and fleet dedup work across spec submissions unchanged.
+// store and fleet dedup work across spec submissions unchanged.
 func (c *Compiled) Key() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scn=%s|v=%d|seed=%d", c.Spec.Name, c.Spec.Version, c.Spec.Seed)

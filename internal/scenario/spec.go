@@ -10,7 +10,7 @@
 //
 // Compiled scenarios join the content-address chain: every run resolves to
 // the same sim.Config.Key()/workload.Mix.Key() pair a hand-built sweep
-// produces, so the durable store, memo LRUs, and fleet dedup treat a
+// produces, so the result store and fleet dedup treat a
 // spec-submitted job and its Go-constructed twin as the same work.
 package scenario
 

@@ -447,6 +447,14 @@ func CellKey(cfg sim.Config, mix workload.Mix) string {
 	return cfg.Key() + "|" + mix.Key()
 }
 
+// AloneCellKey is the content-address of core's alone run on cfg's
+// machine (sim.Variant Alone semantics): the cell's CellKey plus the core
+// index. The experiment harness stores its per-core alone calibration
+// (run under LRU) under it.
+func AloneCellKey(cfg sim.Config, mix workload.Mix, core int) string {
+	return fmt.Sprintf("%s|alone=%d", CellKey(cfg, mix), core)
+}
+
 // CellResult is one (workload, policy) simulation inside a job.
 type CellResult struct {
 	Policy    string      `json:"policy"`

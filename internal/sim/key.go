@@ -6,8 +6,8 @@ import (
 )
 
 // Key returns a stable identity string for the configuration, covering
-// every field that can influence a simulation's outcome. The experiment
-// harness keys its cross-experiment memo caches on it.
+// every field that can influence a simulation's outcome. Store cell keys
+// (api.CellKey) are built on it.
 //
 // Unlike a fmt %+v rendering, the key is explicit about optional fields:
 // zero-valued DRAM/CPU/MSHR sub-configs are resolved to the defaults they
@@ -32,7 +32,7 @@ func (c Config) Key() string {
 	fmt.Fprintf(&b, "|track=%t|incl=%t", c.TrackPCSlices, c.InclusiveLLC)
 	fmt.Fprintf(&b, "|mshr=%t,%d,%d,%d", c.ModelMSHRs, c.l1MSHRs(), c.l2MSHRs(), c.llcMSHRs())
 	// TelemetryEpoch is keyed even though telemetry never changes results:
-	// a memo-cache hit replays no epochs, so a telemetry-enabled run must
+	// a store hit replays no epochs, so a telemetry-enabled run must
 	// not be satisfied by a cached telemetry-off result (or vice versa).
 	// The sink and tag are deliberately excluded — they don't affect what
 	// is simulated, only where the epochs go. Phases is excluded for the

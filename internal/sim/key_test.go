@@ -8,7 +8,7 @@ import (
 
 // TestConfigKeyDistinguishesFields mutates the baseline one field at a
 // time and requires every variant to produce a distinct key: no two
-// differing configs may collide in the harness memo caches.
+// differing configs may collide in the result store.
 func TestConfigKeyDistinguishesFields(t *testing.T) {
 	base := DefaultConfig(4)
 	variants := map[string]func(*Config){

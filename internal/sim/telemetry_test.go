@@ -171,7 +171,7 @@ func TestTelemetryValidate(t *testing.T) {
 	}
 }
 
-// TestTelemetryKey: the epoch interval must separate memo-cache entries
+// TestTelemetryKey: the epoch interval must separate store entries
 // (a cached telemetry-off result replays no epochs), while sink and tag —
 // which don't affect what is simulated — must not.
 func TestTelemetryKey(t *testing.T) {

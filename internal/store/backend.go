@@ -19,8 +19,10 @@ var ErrNotFound = errors.New("store: address not found")
 //
 // Implementations in this package: Dir (one filesystem directory, the
 // classic layout), Mem (process-local map, for tests and the cache tier),
-// Sharded (consistent-hash routing across child backends), and Cached (a
-// read-through/write-back memory tier over any other backend).
+// Sharded (consistent-hash routing across child backends), Cached (a
+// read-through/write-back memory tier over any other backend), and
+// Discard (keeps nothing; under Cached it makes a bounded memory-only
+// store).
 type Backend interface {
 	// Get returns the blob at addr, or ErrNotFound.
 	Get(addr string) ([]byte, error)
@@ -147,3 +149,16 @@ func (m *Mem) Usage() (int, int64, error) {
 }
 
 func (m *Mem) Describe() string { return "mem" }
+
+// Discard is a Backend that keeps nothing: Put drops the blob and Get
+// always misses. Under a Cached tier it makes a bounded, memory-only
+// store whose evicted entries are simply recomputed — the experiment
+// harness's process-level store.
+type Discard struct{}
+
+func (Discard) Get(string) ([]byte, error) { return nil, ErrNotFound }
+func (Discard) Put(string, []byte) error   { return nil }
+func (Discard) Delete(string) error        { return nil }
+func (Discard) List() ([]string, error)    { return nil, nil }
+func (Discard) Usage() (int, int64, error) { return 0, 0, nil }
+func (Discard) Describe() string           { return "discard" }

@@ -22,10 +22,10 @@ const DefaultCacheEntries = 4096
 //
 // The cache holds at most max entries; least-recently-used clean entries
 // are evicted first, and an entry is never evicted while its write-back
-// is still owed. Because store entries are memo results (recomputable by
-// design), a failed write-back is recorded and reported by Flush rather
-// than crashing the serving path: the entry keeps being served from
-// memory, and a later Put heals the durable copy.
+// is still owed. Because store entries are simulation results
+// (recomputable by design), a failed write-back is recorded and reported
+// by Flush rather than crashing the serving path: the entry keeps being
+// served from memory, and a later Put heals the durable copy.
 type Cached struct {
 	backing Backend
 	max     int
@@ -75,6 +75,16 @@ func NewCached(backing Backend, max int) *Cached {
 }
 
 func (c *Cached) Describe() string { return "cached(" + Describe(c.backing) + ")" }
+
+// Cap is the tier's entry bound.
+func (c *Cached) Cap() int { return c.max }
+
+// Len is the number of entries the tier holds in memory.
+func (c *Cached) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
 
 // touchLocked moves e to the LRU front, inserting it if new.
 func (c *Cached) touchLocked(e *centry) {

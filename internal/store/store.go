@@ -1,5 +1,7 @@
-// Package store is a durable, content-addressed result store: a disk-backed
-// extension of the in-memory memo caches. Entries are keyed by the explicit
+// Package store is the content-addressed result store: the one cache
+// hierarchy every cell runner resolves through (internal/engine), durable
+// on disk for the job service and the fleet, and memory-only and bounded
+// for the experiment harness. Entries are keyed by the explicit
 // Key() builders (sim.Config, policies.Spec, workload.Mix), addressed by the
 // SHA-256 of the key, and written atomically so a crashed writer never
 // leaves a half-entry where a reader can see it. Every entry carries a

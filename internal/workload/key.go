@@ -29,7 +29,7 @@ func (m Model) Key() string {
 
 // Key returns a stable identity string for the mix: its name plus the
 // per-core model keys and generator seeds, so mixes that share a name but
-// differ in population, scaling, or seeding never collide in memo caches.
+// differ in population, scaling, or seeding never collide in the store.
 func (m Mix) Key() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "mix=%s|cores=%d", m.Name, m.Cores())

@@ -26,7 +26,7 @@ type Source struct {
 func (s Source) active() bool { return s.Phased != nil || s.Trace != nil }
 
 // TraceData is a replayed record stream with a stable identity, so
-// trace-backed mixes participate in memo caches and the durable store.
+// trace-backed mixes participate in the result store.
 type TraceData struct {
 	Name string
 	Recs []trace.Rec
